@@ -64,12 +64,9 @@ def _cmd_determinism(args: argparse.Namespace) -> int:
     report = audit_suite(
         suite=args.suite,
         seeds=range(args.seeds),
-        backend=args.backend,
-        corner_engine=args.corner_engine,
         optimizer=args.optimizer,
         with_contracts=not args.no_contracts,
         resume_parity=args.resume_parity,
-        refit_mode=args.refit_mode,
         execution=args.execution,
         workers=args.workers,
     )
@@ -126,28 +123,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="number of seeds (0..N-1) per case (default: 3)",
     )
     determinism.add_argument(
-        "--backend",
-        default=None,
-        choices=("fused", "autodiff"),
-        help="surrogate training backend override",
-    )
-    determinism.add_argument(
-        "--corner-engine",
-        default=None,
-        choices=("stacked", "looped"),
-        help="multi-corner evaluation engine override",
-    )
-    determinism.add_argument(
         "--optimizer",
         default=None,
         help="search-strategy override for every case",
-    )
-    determinism.add_argument(
-        "--refit-mode",
-        default=None,
-        choices=("batched", "sequential"),
-        help="surrogate-refit dispatch override (batched: one stacked "
-        "multi-seed training kernel per campaign round)",
     )
     determinism.add_argument(
         "--execution",

@@ -89,22 +89,13 @@ def fingerprint_outcome(
 def _run_fingerprint(
     case: Any,
     seeds: Sequence[int],
-    backend: Optional[str],
-    corner_engine: Optional[str],
     optimizer: Optional[str],
     checkpoint_dir: Optional[str] = None,
     keep_history: bool = False,
     resume_from: Optional[str] = None,
-    refit_mode: Optional[str] = None,
 ) -> Tuple[Dict[str, Any], int]:
     """Run one bench case once; returns (fingerprint, rounds run)."""
-    campaign = case.build_campaign(
-        seeds,
-        backend=backend,
-        corner_engine=corner_engine,
-        optimizer=optimizer,
-        refit_mode=refit_mode,
-    )
+    campaign = case.build_campaign(seeds, optimizer=optimizer)
     outcome = campaign.run(
         checkpoint_dir=checkpoint_dir,
         keep_history=keep_history,
@@ -112,6 +103,16 @@ def _run_fingerprint(
     )
     digest = campaign.cache.state_digest()
     return fingerprint_outcome(outcome, digest, seeds), outcome.rounds
+
+
+def _differs(first: Any, second: Any) -> bool:
+    """Do the two values serialize to different JSON bytes?
+
+    Plain ``!=`` is not enough: ``1 == 1.0`` and ``[1, 2] == [1, 2.0]`` in
+    Python, but their JSON bytes differ, and bytes are what the audit
+    compares.
+    """
+    return json.dumps(first, sort_keys=True) != json.dumps(second, sort_keys=True)
 
 
 def _first_divergence(first: Any, second: Any, path: str = "$") -> str:
@@ -122,14 +123,16 @@ def _first_divergence(first: Any, second: Any, path: str = "$") -> str:
         for key in first:
             if key not in second:
                 return f"{path}.{key}: missing in second run"
-            if first[key] != second[key]:
+            if _differs(first[key], second[key]):
                 return _first_divergence(first[key], second[key], f"{path}.{key}")
-        return f"{path}: second run has extra keys"
-    if isinstance(first, list):
+        extra = [key for key in second if key not in first]
+        if extra:
+            return f"{path}: second run has extra keys {', '.join(map(str, extra))}"
+    elif isinstance(first, list):
         if len(first) != len(second):
             return f"{path}: length {len(first)} vs {len(second)}"
         for index, (a, b) in enumerate(zip(first, second)):
-            if a != b:
+            if _differs(a, b):
                 return _first_divergence(a, b, f"{path}[{index}]")
     return f"{path}: {first!r} vs {second!r}"
 
@@ -186,12 +189,9 @@ class AuditReport:
 def audit_case(
     case: Any,
     seeds: Sequence[int],
-    backend: Optional[str] = None,
-    corner_engine: Optional[str] = None,
     optimizer: Optional[str] = None,
     with_contracts: bool = True,
     resume_parity: bool = False,
-    refit_mode: Optional[str] = None,
     execution: str = "campaign",
     workers: int = 2,
 ) -> CaseAudit:
@@ -216,13 +216,7 @@ def audit_case(
             )
         from repro.shard import ShardedExecutor, run_sequential
 
-        specs = case.shard_specs(
-            seeds,
-            backend=backend,
-            corner_engine=corner_engine,
-            optimizer=optimizer,
-            refit_mode=refit_mode,
-        )
+        specs = case.shard_specs(seeds, optimizer=optimizer)
         sharded = ShardedExecutor(
             specs, workers=workers, collect_cache_content=True
         ).run()
@@ -250,30 +244,20 @@ def audit_case(
                 first, rounds = _run_fingerprint(
                     case,
                     seeds,
-                    backend,
-                    corner_engine,
                     optimizer,
                     checkpoint_dir=ckpt_dir,
                     keep_history=True,
-                    refit_mode=refit_mode,
                 )
                 mid = max(1, rounds // 2)
                 second, _ = _run_fingerprint(
                     case,
                     seeds,
-                    backend,
-                    corner_engine,
                     optimizer,
                     resume_from=os.path.join(ckpt_dir, f"round-{mid:05d}.snapshot"),
-                    refit_mode=refit_mode,
                 )
         else:
-            first, _ = _run_fingerprint(
-                case, seeds, backend, corner_engine, optimizer, refit_mode=refit_mode
-            )
-            second, _ = _run_fingerprint(
-                case, seeds, backend, corner_engine, optimizer, refit_mode=refit_mode
-            )
+            first, _ = _run_fingerprint(case, seeds, optimizer)
+            second, _ = _run_fingerprint(case, seeds, optimizer)
     first_bytes = json.dumps(first, sort_keys=True).encode("utf-8")
     second_bytes = json.dumps(second, sort_keys=True).encode("utf-8")
     identical = first_bytes == second_bytes
@@ -288,12 +272,9 @@ def audit_case(
 def audit_suite(
     suite: str = "tiny",
     seeds: Sequence[int] = (0, 1, 2),
-    backend: Optional[str] = None,
-    corner_engine: Optional[str] = None,
     optimizer: Optional[str] = None,
     with_contracts: bool = True,
     resume_parity: bool = False,
-    refit_mode: Optional[str] = None,
     execution: str = "campaign",
     workers: int = 2,
 ) -> AuditReport:
@@ -313,12 +294,9 @@ def audit_suite(
             audit_case(
                 case,
                 seeds,
-                backend=backend,
-                corner_engine=corner_engine,
                 optimizer=optimizer,
                 with_contracts=with_contracts,
                 resume_parity=resume_parity,
-                refit_mode=refit_mode,
                 execution=execution,
                 workers=workers,
             )

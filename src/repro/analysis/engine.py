@@ -31,7 +31,7 @@ class AnalysisConfig:
     """
 
     #: Modules whose *every* function is allocation-sensitive (the fused
-    #: training backend, the evaluation cache, the Campaign round loop).
+    #: training kernel, the evaluation cache, the Campaign round loop).
     hot_modules: Tuple[str, ...] = (
         "repro/nn/fused.py",
         "repro/search/eval_cache.py",

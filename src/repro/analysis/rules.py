@@ -151,8 +151,8 @@ class UnseededRngRule(LintRule):
     ``np.random.default_rng()`` without arguments seeds itself from OS
     entropy, and the legacy ``np.random.*`` functions draw from the hidden
     process-global generator — either one anywhere in a search/training
-    code path silently breaks the bit-exact trajectory locks every backend
-    and engine knob is verified against.
+    code path silently breaks the bit-exact trajectory locks every
+    reference implementation is verified against.
     """
 
     id = "unseeded-rng"
@@ -255,7 +255,7 @@ class FloatEqualityRule(LintRule):
 class HotLoopAllocRule(LintRule):
     """No array allocation inside ``for``/``while`` bodies on hot paths.
 
-    The fused backend, the evaluation cache and the Campaign round loop are
+    The fused training kernel, the evaluation cache and the Campaign round loop are
     deliberately allocation-free in their inner loops (scratch buffers,
     ``out=`` rewrites, single stacked passes); a stray ``np.zeros`` or
     ``astype`` inside one of those loops reintroduces per-iteration heap

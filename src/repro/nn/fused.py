@@ -1,4 +1,4 @@
-"""Fused pure-NumPy training backend for the surrogate MLP.
+"""Fused pure-NumPy training kernel for the surrogate MLP.
 
 The autodiff path (:mod:`repro.autodiff`) builds a Python-object graph for
 every minibatch — hundreds of ``Tensor`` allocations, backward closures and a
@@ -14,10 +14,11 @@ calls with no per-op Python structures.
 
 Every floating-point expression below is written to match the autodiff
 engine's backward pass operation for operation (same order, same
-power-of-two factors), so the two backends produce **bit-identical** losses,
-gradients and post-Adam weights on the same minibatch stream.  That property
-is what lets the search switch backend without re-locking its trajectories,
-and it is enforced by ``tests/test_fused.py``.
+power-of-two factors), so the two paths produce **bit-identical** losses,
+gradients and post-Adam weights on the same minibatch stream.  The autodiff
+:class:`~repro.nn.modules.MLP` + :class:`~repro.nn.optim.Adam` pair is the
+reference implementation this kernel is locked against by
+``tests/test_fused.py``; the search itself always trains fused.
 
 Weights round-trip with the autodiff :class:`~repro.nn.modules.MLP` via
 :meth:`FusedMLP.from_module` / :meth:`FusedMLP.to_module`, and the

@@ -16,7 +16,7 @@ is exact — bit-level, no rounding — and cheap to build.
 
 The cache is engine-agnostic: it wraps *any* corner evaluator with the
 ``(samples, corners) -> (n_corners, count, n_metrics)`` contract, whether the
-stacked fast path or the looped parity oracle, and since both are
+stacked fast path or the looped reference engine, and since both are
 bit-identical the cache never changes a search trajectory — it only removes
 repeat work.  It also keeps the benchmark accounting: ``eval_seconds`` is the
 wall time actually spent inside the wrapped evaluator.

@@ -427,3 +427,22 @@ class TestDeterminismAuditor:
         second = {"per_seed": [{"seed": 0, "evaluations": 11}]}
         where = _first_divergence(first, second)
         assert "per_seed[0].evaluations" in where
+
+    @pytest.mark.parametrize(
+        "first, second, expected",
+        [
+            # Equal in Python, different JSON bytes: the pointer must name
+            # the leaf, not claim extra keys.
+            ({"a": 1}, {"a": 1.0}, "$.a: type int vs float"),
+            ({"a": [1, 2]}, {"a": [1, 2.0]}, "$.a[1]: type int vs float"),
+            ({"a": {"b": [True]}}, {"a": {"b": [1]}}, "$.a.b[0]: type bool vs int"),
+            ({"a": 1}, {"a": 1, "c": 2, "b": 3}, "$: second run has extra keys c, b"),
+        ],
+        ids=["int-vs-float", "nested-list-type", "bool-vs-int", "extra-keys"],
+    )
+    def test_divergence_pointer_on_type_and_key_differences(
+        self, first, second, expected
+    ):
+        from repro.analysis.determinism import _first_divergence
+
+        assert _first_divergence(first, second) == expected

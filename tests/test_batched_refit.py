@@ -1,12 +1,14 @@
 """Batched-across-seeds surrogate refit: bitwise parity and accounting.
 
 The batched refit path (``repro.nn.fused.fit_batched`` driven by the
-campaign's end-of-round flush) claims *bit-identical* results versus the
-sequential per-seed refits it replaces.  These tests hold it to that:
-kernel-level locks compare per-epoch losses, parameters and Adam moments
-with ``==``/``array_equal`` (never ``allclose``), and campaign-level locks
-byte-diff whole trajectories batched-vs-sequential, through checkpoints,
-and under the determinism auditor.
+campaign's end-of-round flush) claims *bit-identical* results versus
+training each seed alone.  These tests hold it to that: kernel-level locks
+compare per-epoch losses, parameters and Adam moments with
+``==``/``array_equal`` (never ``allclose``), and campaign-level locks
+byte-diff whole trajectories of a multi-seed campaign against one
+single-seed campaign per seed (whose lone refit jobs take ``fit_batched``'s
+single-job ``FusedMLP.fit`` path), through checkpoints, and under the
+determinism auditor.
 """
 
 import numpy as np
@@ -221,11 +223,21 @@ CAMPAIGN_CASES = [
 ]
 
 
-def _campaign_lock_state(case, refit_mode, seeds=(0, 1)):
-    """Run one case; return (fingerprint, surrogate/Adam state, counters)."""
-    campaign = case.build_campaign(seeds, refit_mode=refit_mode)
+#: Per-seed counters that depend on which seeds share the evaluation cache,
+#: not on the trajectory: a seed alone computes pairs a co-scheduled seed
+#: would have cached for it.
+_SHARED_CACHE_FIELDS = ("cache_hits", "cache_misses", "engine_calls")
+
+
+def _campaign_lock_state(case, seeds):
+    """Run one case; return (per-seed records, surrogate/Adam state, outcome)."""
+    campaign = case.build_campaign(seeds)
     outcome = campaign.run()
     fingerprint = fingerprint_outcome(outcome, campaign.cache.state_digest(), seeds)
+    records = fingerprint["per_seed"]
+    for record in records:
+        for field in _SHARED_CACHE_FIELDS:
+            record.pop(field)
     surrogates = []
     for member in campaign._members:
         optimizer = member.optimizer
@@ -238,39 +250,34 @@ def _campaign_lock_state(case, refit_mode, seeds=(0, 1)):
                 optimizer.refit_count,
             )
         )
-    return fingerprint, surrogates, outcome
+    return records, surrogates, outcome
 
 
 class TestCampaignParity:
-    """Whole-campaign batched-vs-sequential locks across the topology zoo."""
+    """Multi-seed campaign vs one single-seed campaign per seed, per topology."""
 
     @pytest.mark.parametrize("case", CAMPAIGN_CASES, ids=lambda c: c.topology)
     def test_trajectory_and_adam_moment_lock(self, case):
-        batched_fp, batched_state, batched_outcome = _campaign_lock_state(
-            case, "batched"
+        seeds = (0, 1)
+        batched_records, batched_state, batched_outcome = _campaign_lock_state(
+            case, seeds
         )
-        sequential_fp, sequential_state, sequential_outcome = _campaign_lock_state(
-            case, "sequential"
-        )
-        # The kernel-call counter is the one field that legitimately
-        # differs between modes; everything behavioural must match.
-        assert batched_fp.pop("batched_kernel_calls") > 0
-        assert sequential_fp.pop("batched_kernel_calls") == 0
-        assert batched_fp == sequential_fp
-        for batched, sequential in zip(batched_state, sequential_state):
+        # Two live seeds sharing one round schedule must actually bucket.
+        assert batched_outcome.batched_kernel_calls > 0
+        for seed, record, batched in zip(seeds, batched_records, batched_state):
+            (lone_record,), (lone,), lone_outcome = _campaign_lock_state(case, (seed,))
+            # A lone seed's refits never stack: they take the single-job
+            # FusedMLP.fit path inside fit_batched.
+            assert lone_outcome.batched_kernel_calls == 0
+            assert lone_outcome.refit_rounds > 0
+            assert record == lone_record
             b_theta, b_m, b_v, b_t, b_refits = batched
-            s_theta, s_m, s_v, s_t, s_refits = sequential
+            s_theta, s_m, s_v, s_t, s_refits = lone
             np.testing.assert_array_equal(b_theta, s_theta)
             np.testing.assert_array_equal(b_m, s_m)
             np.testing.assert_array_equal(b_v, s_v)
             assert b_t == s_t
             assert b_refits == s_refits and b_refits > 0
-        assert batched_outcome.refit_mode == "batched"
-        assert sequential_outcome.refit_mode == "sequential"
-        assert batched_outcome.refit_rounds == sequential_outcome.refit_rounds > 0
-        # Two live seeds sharing one round schedule must actually bucket.
-        assert batched_outcome.batched_kernel_calls > 0
-        assert sequential_outcome.batched_kernel_calls == 0
 
 
 class TestDeferredRefitMechanics:
@@ -314,18 +321,6 @@ class TestDeferredRefitMechanics:
         assert search.take_refit_job() is not None
         assert search.take_refit_job() is None
 
-    def test_deferral_requires_fused_backend(self):
-        # autodiff searches ignore the deferral flag and refit inline
-        from dataclasses import replace
-
-        search, _ = self.make_search()
-        config = replace(search.config, backend="autodiff")
-        autodiff = TrustRegionSearch(
-            search.evaluator, search.design_space, search.specification, config
-        )
-        autodiff.set_refit_deferred(True)
-        assert autodiff._refit_deferred is False
-
     def test_fault_site_fires_in_batched_path(self):
         """The drill's optimizer.refit site must cover the deferred path."""
         search, evaluator = self.make_search()
@@ -338,11 +333,14 @@ class TestDeferredRefitMechanics:
 
 class TestCampaignAccounting:
     def test_refit_mode_validated(self):
-        with pytest.raises(ValueError, match="unknown refit mode"):
-            ProgressiveConfig(refit_mode="eager")
+        # Refits always batch under a campaign; there is no mode to pick.
+        with pytest.raises(TypeError, match="refit_mode"):
+            ProgressiveConfig(refit_mode="sequential")
 
     def test_batched_is_the_default(self):
-        assert ProgressiveConfig().refit_mode == "batched"
+        (case,) = get_suite("drill")
+        campaign = case.build_campaign([0, 1])
+        assert all(member.optimizer._refit_deferred for member in campaign._members)
 
     def test_refit_counters_survive_checkpoint_round_trip(self):
         (case,) = get_suite("drill")
@@ -370,12 +368,10 @@ class TestCampaignAccounting:
 class TestAuditorWithBatchedRefit:
     def test_determinism_double_run_green(self):
         (case,) = get_suite("drill")
-        audit = audit_case(case, seeds=(0, 1), refit_mode="batched")
+        audit = audit_case(case, seeds=(0, 1))
         assert audit.identical, audit.divergence
 
     def test_checkpoint_resume_parity_green(self):
         (case,) = get_suite("drill")
-        audit = audit_case(
-            case, seeds=(0, 1), refit_mode="batched", resume_parity=True
-        )
+        audit = audit_case(case, seeds=(0, 1), resume_parity=True)
         assert audit.identical, audit.divergence

@@ -1,6 +1,7 @@
 """Benchmark harness: registry, runner aggregation, JSON artifact, CLI."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,9 @@ from repro.bench import (
     write_bench_json,
 )
 from repro.bench.runner import main as bench_main
+from repro.circuits.topologies import get_topology
+from repro.search import Campaign, resolve_config
+from repro.shard import run_sequential
 
 
 class TestRegistry:
@@ -89,8 +93,6 @@ class TestRunner:
     def test_case_record_structure(self, tiny_result):
         assert tiny_result["name"].startswith("ota_5t/smoke/nominal")
         assert tiny_result["design_dims"] == 5
-        assert tiny_result["backend"] == "fused"  # the library default
-        assert tiny_result["corner_engine"] == "stacked"  # the library default
         assert tiny_result["optimizer"] == "trust_region"  # the case default
         assert tiny_result["execution"] == "campaign"  # the runner default
         assert 0.0 <= tiny_result["success_rate"] <= 1.0
@@ -100,6 +102,11 @@ class TestRunner:
         assert eval_block["engine_calls"] > 0
         assert eval_block["rounds"] >= eval_block["engine_calls"]
         assert eval_block["cache_misses"] > 0
+        assert set(tiny_result["refit"]) == {
+            "refit_seconds",
+            "refit_rounds",
+            "batched_kernel_calls",
+        }
         # Telemetry is only populated under tracing (--trace / REPRO_TRACE).
         assert tiny_result["telemetry"] is None
         assert len(tiny_result["per_seed"]) == 2
@@ -147,11 +154,10 @@ class TestRunner:
 
     def test_suite_payload_and_artifact(self, tmp_path):
         payload = run_suite("tiny", seeds=[0])
-        assert payload["schema"] == SCHEMA == "repro.bench/v8"
+        assert payload["schema"] == SCHEMA == "repro.bench/v9"
         assert payload["suite"] == "tiny"
         assert payload["seeds"] == [0]
-        assert payload["backend"] == "fused"
-        assert payload["corner_engine"] == "stacked"
+        assert not {"backend", "corner_engine", "refit_mode"} & set(payload)
         assert payload["optimizer"] == "trust_region"
         assert payload["execution"] == "campaign"
         assert payload["totals"]["cases"] == len(payload["cases"])
@@ -160,22 +166,7 @@ class TestRunner:
         assert json.loads(path.read_text()) == payload
         summary = format_summary(payload)
         assert "ota_5t/smoke/nominal" in summary
-        assert "fused" in summary
-
-    def test_backend_override_recorded(self):
-        (case,) = get_suite("tiny")
-        result = run_case(case, seeds=[0], backend="autodiff")
-        assert result["backend"] == "autodiff"
-        payload = run_suite("tiny", seeds=[0], backend="autodiff")
-        assert payload["backend"] == "autodiff"
-
-    def test_backends_produce_identical_trajectories(self):
-        """Bit-identical training steps -> bit-identical bench results."""
-        (case,) = get_suite("tiny")
-        fused = run_case(case, seeds=[0], backend="fused")["per_seed"][0]
-        autodiff = run_case(case, seeds=[0], backend="autodiff")["per_seed"][0]
-        assert fused["evaluations"] == autodiff["evaluations"]
-        assert fused["best_sizing"] == autodiff["best_sizing"]
+        assert "trust_region" in summary
 
 
 class TestCLI:
@@ -228,41 +219,32 @@ class TestCLI:
             assert needle in out
         assert "two_stage_opamp/smoke/nominal@optimizer=random" in out
 
-    def test_cli_backend_flag(self, tmp_path):
-        output = tmp_path / "bench.json"
-        code = bench_main(
-            ["--suite", "tiny", "--seeds", "1", "--backend", "autodiff",
-             "--output", str(output)]
-        )
-        assert code == 0
-        payload = json.loads(output.read_text())
-        assert payload["backend"] == "autodiff"
-        assert all(case["backend"] == "autodiff" for case in payload["cases"])
-
     def test_cli_rejects_unknown_backend(self):
+        # The surrogate always trains fused: there is no backend flag.
         with pytest.raises(SystemExit):
-            bench_main(["--suite", "tiny", "--backend", "jax"])
-
-    def test_cli_corner_engine_flag(self, tmp_path):
-        output = tmp_path / "bench.json"
-        code = bench_main(
-            ["--suite", "tiny", "--seeds", "1", "--corner-engine", "looped",
-             "--output", str(output)]
-        )
-        assert code == 0
-        payload = json.loads(output.read_text())
-        assert payload["corner_engine"] == "looped"
-        assert all(case["corner_engine"] == "looped" for case in payload["cases"])
+            bench_main(["--suite", "tiny", "--backend", "autodiff"])
 
     def test_cli_rejects_unknown_corner_engine(self):
+        # The stacked engine always runs: there is no corner-engine flag.
         with pytest.raises(SystemExit):
-            bench_main(["--suite", "tiny", "--corner-engine", "spiral"])
+            bench_main(["--suite", "tiny", "--corner-engine", "looped"])
 
     def test_corner_engines_produce_identical_trajectories(self):
-        """Stacked corner evaluation is bit-identical to the looped oracle."""
+        """The bench's stacked corner pass is bit-identical to the looped
+        reference engine (a handle without a stacked evaluator)."""
         (case,) = get_suite("tiny")
-        stacked = run_case(case, seeds=[0], corner_engine="stacked")["per_seed"][0]
-        looped = run_case(case, seeds=[0], corner_engine="looped")["per_seed"][0]
+        stacked = run_case(case, seeds=[0])["per_seed"][0]
+        problem = get_topology(case.topology)(case.technology, load_cap=case.load_cap)
+        handle = replace(problem.evaluation_handle(), corner_evaluator=None)
+        config = resolve_config(
+            case.config(0), optimizer=case.optimizer, max_phases=case.max_phases
+        )
+        looped = Campaign(
+            handle,
+            problem.default_specs()[case.tier],
+            corners=case.corners(),
+            config=config,
+        ).run().results[0].to_dict()
         assert stacked["evaluations"] == looped["evaluations"]
         assert stacked["best_sizing"] == looped["best_sizing"]
         assert stacked["solved"] == looped["solved"]
@@ -287,13 +269,16 @@ class TestCLI:
     def test_cli_execution_flag(self, tmp_path):
         output = tmp_path / "bench.json"
         code = bench_main(
-            ["--suite", "tiny", "--seeds", "2", "--execution", "sequential",
-             "--output", str(output)]
+            ["--suite", "tiny", "--seeds", "2", "--execution", "sharded",
+             "--workers", "1", "--output", str(output)]
         )
         assert code == 0
         payload = json.loads(output.read_text())
-        assert payload["execution"] == "sequential"
-        assert payload["cases"][0]["eval"]["rounds"] is None
+        assert payload["execution"] == "sharded"
+        assert payload["cases"][0]["shard"]["workers"] == 1
+        # The per-seed reference is repro.shard.run_sequential, not a mode.
+        with pytest.raises(SystemExit):
+            bench_main(["--suite", "tiny", "--execution", "sequential"])
 
 
 class TestCampaignExecution:
@@ -301,15 +286,17 @@ class TestCampaignExecution:
 
     def test_campaign_matches_sequential_per_seed(self):
         (case,) = get_suite("tiny")
-        campaign = run_case(case, seeds=[0, 1, 2], execution="campaign")
-        sequential = run_case(case, seeds=[0, 1, 2], execution="sequential")
+        seeds = [0, 1, 2]
+        campaign = run_case(case, seeds=seeds, execution="campaign")
+        sequential = run_sequential(case.shard_specs(seeds))
 
         def trajectory(record):
             # Everything except wall times (noisy) and cache accounting
             # (the campaign shares one cache across seeds, so per-seed
             # hit/miss/engine-call splits legitimately differ from the
-            # fresh-cache-per-seed sequential loop).
+            # fresh-cache-per-seed reference).
             excluded = {
+                "seed",
                 "refit_seconds",
                 "eval_seconds",
                 "cache_hits",
@@ -319,17 +306,15 @@ class TestCampaignExecution:
             return {k: v for k, v in record.items() if k not in excluded}
 
         assert [trajectory(r) for r in campaign["per_seed"]] == [
-            trajectory(r) for r in sequential["per_seed"]
+            trajectory(result.to_dict()) for result in sequential.results
         ]
-        assert campaign["success_rate"] == sequential["success_rate"]
 
     def test_campaign_issues_fewer_larger_engine_calls(self):
         (case,) = get_suite("tiny")
-        campaign = run_case(case, seeds=[0, 1, 2], execution="campaign")
-        sequential = run_case(case, seeds=[0, 1, 2], execution="sequential")
-        assert (
-            campaign["eval"]["engine_calls"] < sequential["eval"]["engine_calls"]
-        )
+        seeds = [0, 1, 2]
+        campaign = run_case(case, seeds=seeds, execution="campaign")
+        sequential = run_sequential(case.shard_specs(seeds))
+        assert campaign["eval"]["engine_calls"] < sequential.engine_calls
         # Batching never re-evaluates: the campaign computes at most the
         # (row, corner) pairs the sequential loop computed, plus union
         # corners shared across seeds' requests.
@@ -344,28 +329,6 @@ class TestCampaignExecution:
         assert record["optimizer"] == "random"
         assert record["success_rate"] == 1.0
         assert record["refit_seconds"] == 0.0  # no surrogate to fit
-
-
-class TestCrossCheck:
-    def test_cross_check_passes_on_builtin_case(self, capsys):
-        from repro.bench import cross_check
-
-        assert cross_check("tiny") == 0
-        out = capsys.readouterr().out
-        assert "cross-check PASS" in out
-
-    def test_cli_cross_check_flag(self, capsys):
-        assert bench_main(["--cross-check", "--suite", "tiny"]) == 0
-        assert "cross-check PASS" in capsys.readouterr().out
-
-    def test_cli_cross_check_rejects_ignored_flags(self):
-        """Flags the guard would silently drop must be an error instead."""
-        for extra in (["--seeds", "5"], ["--output", "x.json"],
-                      ["--backend", "autodiff"], ["--fail-under", "1.0"],
-                      ["--corner-engine", "looped"], ["--optimizer", "random"],
-                      ["--trace", "t.jsonl"]):
-            with pytest.raises(SystemExit):
-                bench_main(["--cross-check", "--suite", "tiny"] + extra)
 
 
 class TestDemoParity:

@@ -11,6 +11,8 @@ topology over the full 45-corner grid, the cross-phase
 progressive loop end to end.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from repro.circuits.pvt import (
     nine_corner_grid,
 )
 from repro.circuits.topologies import available_topologies, get_topology
-from repro.search import EvaluationCache, ProgressiveConfig
+from repro.search import Campaign, EvaluationCache, ProgressiveConfig
 from repro.search.sizing import size_problem
 from repro.search.trust_region import TrustRegionConfig
 
@@ -241,16 +243,14 @@ class TestProgressiveTrajectoryLock:
 
     @pytest.mark.parametrize("topology", ["ota_5t", "two_stage_opamp"])
     def test_stacked_equals_looped_end_to_end(self, topology):
-        runs = {
-            engine: size_problem(
-                topology,
-                tier="smoke",
-                config=self.QUICK,
-                corner_engine=engine,
-            )
-            for engine in ("stacked", "looped")
-        }
-        stacked, looped = runs["stacked"], runs["looped"]
+        stacked = size_problem(topology, tier="smoke", config=self.QUICK)
+        # A handle without a stacked evaluator runs the looped reference
+        # engine over the per-corner factory.
+        problem = get_topology(topology)()
+        handle = replace(problem.evaluation_handle(), corner_evaluator=None)
+        looped = Campaign(
+            handle, problem.default_specs()["smoke"], config=self.QUICK
+        ).run().results[0]
         np.testing.assert_array_equal(stacked.best_vector, looped.best_vector)
         assert stacked.evaluations == looped.evaluations
         assert stacked.solved_all_corners == looped.solved_all_corners
@@ -268,10 +268,11 @@ class TestProgressiveTrajectoryLock:
         assert result.eval_seconds >= 0.0
 
     def test_unknown_corner_engine_rejected(self):
-        with pytest.raises(ValueError, match="corner engine"):
-            ProgressiveConfig(corner_engine="spiral")
-        with pytest.raises(ValueError, match="corner engine"):
-            size_problem("ota_5t", tier="smoke", corner_engine="spiral")
+        # The engine follows from the evaluation handle; no knob selects it.
+        with pytest.raises(TypeError, match="corner_engine"):
+            ProgressiveConfig(corner_engine="looped")
+        with pytest.raises(TypeError, match="corner_engine"):
+            size_problem("ota_5t", tier="smoke", corner_engine="looped")
 
 
 class TestRefitSkip:

@@ -1,10 +1,12 @@
-"""Fused NumPy training backend: parity with the autodiff reference oracle.
+"""Fused NumPy training kernel: parity with the autodiff reference.
 
 The contract of :mod:`repro.nn.fused` is stronger than "numerically close":
-given the same minibatch stream, the fused backend produces *bit-identical*
-losses, gradients and post-Adam weights to the Tensor-graph path.  These
-tests pin that contract step by step, plus the module round-trips and the
-backend knob plumbing on :func:`train_regressor`.
+given the same minibatch stream, the fused kernel produces *bit-identical*
+losses, gradients and post-Adam weights to the Tensor-graph path (autodiff
+:class:`MLP` + :class:`Adam`, kept as the reference implementation).  These
+tests pin that contract step by step and across the search's refit pattern,
+plus the module round-trips and the model/optimizer checks of
+:func:`train_regressor`.
 """
 
 import numpy as np
@@ -79,12 +81,13 @@ class TestPerStepParity:
         np.testing.assert_array_equal(flat_params(model), fused.theta)
 
     def test_train_regressor_backends_identical(self):
-        """Full training runs through both backends end at the same weights."""
+        """Full training runs through both paths end at the same weights;
+        the model type picks the path."""
         model, fused = make_pair()
         inputs, targets = regression_data()
         history_autodiff = train_regressor(
             model, inputs, targets, epochs=12, batch_size=32, lr=3e-3,
-            rng=np.random.default_rng(3), backend="autodiff",
+            rng=np.random.default_rng(3),
         )
         history_fused = train_regressor(
             fused, inputs, targets, epochs=12, batch_size=32, lr=3e-3,
@@ -92,17 +95,6 @@ class TestPerStepParity:
         )
         assert history_autodiff.losses == history_fused.losses
         np.testing.assert_array_equal(flat_params(model), fused.theta)
-
-    def test_fused_backend_on_autodiff_model_writes_back(self):
-        """backend='fused' on an MLP converts, trains fast, writes back."""
-        reference, _ = make_pair()
-        subject, _ = make_pair()
-        inputs, targets = regression_data()
-        train_regressor(reference, inputs, targets, epochs=8, batch_size=32,
-                        lr=3e-3, rng=np.random.default_rng(5), backend="autodiff")
-        train_regressor(subject, inputs, targets, epochs=8, batch_size=32,
-                        lr=3e-3, rng=np.random.default_rng(5), backend="fused")
-        np.testing.assert_array_equal(flat_params(reference), flat_params(subject))
 
     def test_predict_parity(self):
         model, fused = make_pair()
@@ -165,26 +157,22 @@ class TestModuleInterop:
 
 
 class TestBackendKnob:
+    """``train_regressor`` takes its path from the model type, and rejects
+    an optimizer built for the other path."""
+
     def test_unknown_backend_rejected(self):
         model, _ = make_pair()
         inputs, targets = regression_data(count=8)
-        with pytest.raises(ValueError, match="unknown backend"):
-            train_regressor(model, inputs, targets, epochs=1, backend="magic")
-
-    def test_autodiff_backend_rejects_fused_model(self):
-        _, fused = make_pair()
-        inputs, targets = regression_data(count=8)
-        with pytest.raises(ValueError, match="autodiff"):
-            train_regressor(fused, inputs, targets, epochs=1, backend="autodiff")
+        with pytest.raises(TypeError, match="backend"):
+            train_regressor(model, inputs, targets, epochs=1, backend="fused")
 
     def test_fused_backend_rejects_autodiff_optimizer(self):
         _, fused = make_pair()
         inputs, targets = regression_data(count=8)
         model, _ = make_pair()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="FusedAdam"):
             train_regressor(
-                fused, inputs, targets, epochs=1,
-                optimizer=Adam(model.parameters()), backend="fused",
+                fused, inputs, targets, epochs=1, optimizer=Adam(model.parameters())
             )
 
     def test_autodiff_backend_rejects_fused_optimizer(self):
@@ -192,63 +180,37 @@ class TestBackendKnob:
         inputs, targets = regression_data(count=8)
         with pytest.raises(ValueError, match="FusedAdam"):
             train_regressor(
-                model, inputs, targets, epochs=1,
-                optimizer=FusedAdam(fused), backend="autodiff",
-            )
-
-    def test_fused_on_mlp_rejects_prebuilt_optimizer(self):
-        """Conversion is per-call; persistent moments need a FusedMLP."""
-        model, fused = make_pair()
-        inputs, targets = regression_data(count=8)
-        with pytest.raises(ValueError, match="persistent"):
-            train_regressor(
-                model, inputs, targets, epochs=1,
-                optimizer=FusedAdam(fused), backend="fused",
+                model, inputs, targets, epochs=1, optimizer=FusedAdam(fused)
             )
 
 
-class TestSearchLevelParity:
-    """The backend knob must never change a search trajectory."""
+class TestRefitPatternParity:
+    """The search's refit pattern, autodiff reference vs fused kernel."""
 
-    def make_search(self, backend):
-        from repro.core.design_space import DesignSpace, Parameter
-        from repro.search import Spec, Specification, TrustRegionConfig, TrustRegionSearch
-
-        def evaluator(samples):
-            samples = np.atleast_2d(samples)
-            x, y = samples[:, 0], samples[:, 1]
-            a = 1.0 - (x - 0.7) ** 2 - (y - 0.3) ** 2
-            b = (x - 0.7) ** 2 + (y - 0.3) ** 2
-            return np.stack([a, b], axis=1)
-
-        space = DesignSpace(
-            [Parameter("x", 0.0, 1.0, grid_points=101),
-             Parameter("y", 0.0, 1.0, grid_points=101)]
-        )
-        spec = Specification([Spec("a", ">=", 0.99), Spec("b", "<=", 0.01)], ["a", "b"])
-        config = TrustRegionConfig(
-            seed=0, initial_samples=24, batch_size=6, candidate_pool=128,
-            max_evaluations=300, surrogate_hidden=(24, 24),
-            initial_epochs=60, refit_epochs=15, backend=backend,
-        )
-        return TrustRegionSearch(evaluator, space, spec, config)
-
-    def test_toy_csp_trajectories_identical(self):
-        fused = self.make_search("fused").run()
-        autodiff = self.make_search("autodiff").run()
-        assert fused.evaluations == autodiff.evaluations
-        assert fused.best_score == autodiff.best_score
-        np.testing.assert_array_equal(fused.best_vector, autodiff.best_vector)
-        assert len(fused.history) == len(autodiff.history)
-
-    def test_two_stage_demo_seed0_backend_parity(self):
-        """The historical demo reaches the same sizing on either backend."""
-        from repro.search.opamp_demo import size_two_stage_opamp
-
-        fused = size_two_stage_opamp(seed=0)
-        autodiff = size_two_stage_opamp(seed=0, backend="autodiff")
-        assert fused.solved_all_corners and autodiff.solved_all_corners
-        assert fused.evaluations == autodiff.evaluations
-        np.testing.assert_array_equal(fused.best_vector, autodiff.best_vector)
-        # The fast path must actually be faster on the identical trajectory.
-        assert fused.refit_seconds < autodiff.refit_seconds
+    def test_successive_fits_with_persistent_moments_bitwise(self):
+        """Several fits on a growing dataset, each warm-starting from the
+        previous weights and Adam moments over one shared shuffle stream —
+        how the trust-region search refits its surrogate — stay bitwise
+        equal in losses and weights."""
+        model, fused = make_pair(hidden=(24, 24))
+        adam = Adam(model.parameters(), lr=3e-3)
+        fused_adam = FusedAdam(fused, lr=3e-3)
+        inputs, targets = regression_data(count=120)
+        rng_reference = np.random.default_rng(21)
+        rng_fused = np.random.default_rng(21)
+        for count, epochs in ((24, 30), (40, 8), (56, 8), (72, 8), (120, 8)):
+            history_reference = train_regressor(
+                model, inputs[:count], targets[:count], epochs=epochs,
+                batch_size=16, optimizer=adam, rng=rng_reference,
+            )
+            history_fused = train_regressor(
+                fused, inputs[:count], targets[:count], epochs=epochs,
+                batch_size=16, optimizer=fused_adam, rng=rng_fused,
+            )
+            assert history_reference.losses == history_fused.losses
+            np.testing.assert_array_equal(flat_params(model), fused.theta)
+        reference_state, fused_state = adam.state_dict(), fused_adam.state_dict()
+        assert reference_state["t"] == fused_state["t"] > 0
+        for key in ("m", "v"):
+            flat = np.concatenate([moment.ravel() for moment in reference_state[key]])
+            np.testing.assert_array_equal(flat, fused_state[key])

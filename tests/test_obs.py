@@ -36,6 +36,7 @@ from repro.obs import (
 )
 from repro.obs.__main__ import main as obs_main
 from repro.obs.tracer import _env_sink
+from repro.shard import run_sequential
 
 
 class TestMetricsRegistry:
@@ -381,10 +382,10 @@ class TestPerSeedAttribution:
     def test_single_seed_accounting_matches_sequential(self):
         (case,) = get_suite("tiny")
         campaign = run_case(case, seeds=[0], execution="campaign")["per_seed"][0]
-        sequential = run_case(case, seeds=[0], execution="sequential")["per_seed"][0]
-        assert campaign["cache_hits"] == sequential["cache_hits"]
-        assert campaign["cache_misses"] == sequential["cache_misses"]
-        assert campaign["engine_calls"] == sequential["engine_calls"]
+        (sequential,) = run_sequential(case.shard_specs([0])).results
+        assert campaign["cache_hits"] == sequential.cache_hits
+        assert campaign["cache_misses"] == sequential.cache_misses
+        assert campaign["engine_calls"] == sequential.engine_calls
 
 
 class TestBenchTelemetry:

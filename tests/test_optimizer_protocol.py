@@ -10,6 +10,7 @@ every registered topology.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -438,27 +439,43 @@ class TestCampaignParity:
         assert campaign.cache_misses <= sequential_misses
 
     def test_looped_engine_requires_the_oracle_factory(self):
-        """corner_engine='looped' must not silently run the stacked engine
-        it exists to cross-check."""
+        """A handle without a stacked evaluator runs the looped reference
+        engine over its factory — bit-identical to the stacked pass — and
+        without a factory there is nothing to run."""
         problem = get_topology("ota_5t")()
         full = problem.evaluation_handle()
-        stacked_only = EvaluationHandle(
+        specs = problem.default_specs()["smoke"]
+        config = ProgressiveConfig(trust_region=self.CONFIG, max_phases=1)
+        calls = []
+
+        def factory(condition):
+            calls.append(condition)
+            return full.evaluator_factory(condition)
+
+        looped_only = EvaluationHandle(
             design_space=full.design_space,
             metric_names=full.metric_names,
-            corner_evaluator=full.corner_evaluator,
+            evaluator_factory=factory,
         )
-        config = ProgressiveConfig(
-            trust_region=self.CONFIG, corner_engine="looped", max_phases=1
-        )
-        with pytest.raises(ValueError, match="looped"):
-            Campaign(stacked_only, problem.default_specs()["smoke"],
-                     corners=[NOMINAL], config=config, seeds=[0])
-        # With the factory present the looped oracle runs fine.
-        outcome = Campaign(
-            full, problem.default_specs()["smoke"],
-            corners=[NOMINAL], config=config, seeds=[0],
+        with pytest.raises(ValueError, match="neither a corner evaluator"):
+            Campaign(
+                replace(looped_only, evaluator_factory=None), specs,
+                corners=[NOMINAL], config=config, seeds=[0],
+            )
+        looped = Campaign(
+            looped_only, specs, corners=[NOMINAL], config=config, seeds=[0]
         ).run()
-        assert outcome.results[0].evaluations > 0
+        assert calls == [NOMINAL]
+        stacked = Campaign(
+            full, specs, corners=[NOMINAL], config=config, seeds=[0]
+        ).run()
+        np.testing.assert_array_equal(
+            looped.results[0].best_vector, stacked.results[0].best_vector
+        )
+        assert looped.results[0].evaluations == stacked.results[0].evaluations > 0
+        assert [r.metrics for r in looped.results[0].corner_reports] == [
+            r.metrics for r in stacked.results[0].corner_reports
+        ]
 
     def test_campaign_rejects_degenerate_inputs(self):
         problem = get_topology("ota_5t")()

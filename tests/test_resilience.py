@@ -361,11 +361,11 @@ class TestDrill:
 
 
 class TestBenchResilienceIntegration:
-    def test_v8_payload_reports_warm_cache_hits(self, tmp_path):
+    def test_payload_reports_warm_cache_hits(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         cold = run_suite("tiny", seeds=[0], cache_dir=cache_dir)
         warm = run_suite("tiny", seeds=[0], cache_dir=cache_dir)
-        assert cold["schema"] == "repro.bench/v8"
+        assert cold["schema"] == "repro.bench/v9"
         cold_block = cold["cases"][0]["resilience"]["cache"]
         warm_block = warm["cases"][0]["resilience"]["cache"]
         assert cold_block["warm_hits"] == 0

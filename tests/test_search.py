@@ -202,29 +202,21 @@ class TestResolveConfig:
         assert resolve_config(None, seed=5).trust_region.seed == 5
 
     def test_backend_override(self):
+        # The surrogate always trains fused: no backend override exists.
         from repro.search.sizing import resolve_config
 
-        config = TrustRegionConfig(seed=3)
-        resolved = resolve_config(config, seed=None, backend="autodiff")
-        assert resolved.trust_region.backend == "autodiff"
-        assert resolved.trust_region.seed == 3
-        assert config.backend == "fused"  # original untouched
-        assert resolve_config(config, seed=None, backend="fused").trust_region is config
-        assert (
-            resolve_config(None, backend="autodiff").trust_region.backend == "autodiff"
-        )
+        with pytest.raises(TypeError, match="backend"):
+            resolve_config(TrustRegionConfig(seed=3), backend="autodiff")
 
     def test_corner_engine_override(self):
-        from repro.search import ProgressiveConfig
+        # The corner engine follows from the evaluation handle and refits
+        # always batch: neither is a config override.
         from repro.search.sizing import resolve_config
 
-        progressive = ProgressiveConfig()
-        resolved = resolve_config(progressive, corner_engine="looped")
-        assert resolved.corner_engine == "looped"
-        assert progressive.corner_engine == "stacked"  # original untouched
-        # None defers; a matching explicit value is not a copy.
-        assert resolve_config(progressive, corner_engine=None) is progressive
-        assert resolve_config(progressive, corner_engine="stacked") is progressive
+        with pytest.raises(TypeError, match="corner_engine"):
+            resolve_config(None, corner_engine="looped")
+        with pytest.raises(TypeError, match="refit_mode"):
+            resolve_config(None, refit_mode="sequential")
 
     def test_optimizer_and_max_phases_overrides(self):
         from repro.search import ProgressiveConfig
@@ -243,9 +235,9 @@ class TestResolveConfig:
 
         trust = TrustRegionConfig(seed=7)
         progressive = ProgressiveConfig(trust_region=trust)
-        resolved = resolve_config(progressive, seed=8, corner_engine="looped")
+        resolved = resolve_config(progressive, seed=8, optimizer="random")
         assert resolved.trust_region.seed == 8
-        assert resolved.corner_engine == "looped"
+        assert resolved.optimizer == "random"
         assert trust.seed == 7 and progressive.trust_region is trust
 
 
@@ -313,20 +305,12 @@ class TestDatasetHotPath:
         )
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            TrustRegionConfig(backend="magic")
+        # TrustRegionConfig has no backend field: every refit trains fused.
+        with pytest.raises(TypeError, match="backend"):
+            TrustRegionConfig(backend="autodiff")
 
 
 class TestProgressiveConfig:
-    def test_phase_trust_region_backend_override(self):
-        from repro.search import ProgressiveConfig
-
-        trust = TrustRegionConfig(seed=4)
-        progressive = ProgressiveConfig(trust_region=trust, backend="autodiff")
-        assert progressive.phase_trust_region().backend == "autodiff"
-        assert trust.backend == "fused"  # original untouched
-        assert ProgressiveConfig(trust_region=trust).phase_trust_region() is trust
-
     def test_legacy_trust_region_config_still_accepted(self):
         from repro.search.progressive import _as_progressive_config
 
