@@ -137,6 +137,23 @@ def _first_divergence(first: Any, second: Any, path: str = "$") -> str:
     return f"{path}: {first!r} vs {second!r}"
 
 
+def compare_fingerprints(first: Any, second: Any) -> Tuple[bool, str, Optional[str]]:
+    """Byte-compare two fingerprints' canonical JSON encodings.
+
+    Returns ``(identical, sha256 of the first encoding, divergence)`` — the
+    :class:`CaseAudit` field order — where ``divergence`` points at the
+    first differing field, or is ``None`` when the bytes are equal.
+    """
+    first_bytes = json.dumps(first, sort_keys=True).encode("utf-8")
+    second_bytes = json.dumps(second, sort_keys=True).encode("utf-8")
+    identical = first_bytes == second_bytes
+    return (
+        identical,
+        hashlib.sha256(first_bytes).hexdigest(),
+        None if identical else _first_divergence(first, second),
+    )
+
+
 @dataclass(frozen=True)
 class CaseAudit:
     """Double-run comparison of one bench case."""
@@ -207,6 +224,11 @@ def audit_case(
     oracle run only, see the module docstring).
     """
     seeds = [int(seed) for seed in seeds]
+    if execution not in ("campaign", "sharded"):
+        raise ValueError(
+            f"unknown audit execution {execution!r}; "
+            "available: campaign, sharded"
+        )
     if execution == "sharded":
         if resume_parity:
             raise ValueError(
@@ -224,49 +246,28 @@ def audit_case(
         with contracts(with_contracts):
             oracle = run_sequential(specs)
         second = fingerprint_outcome(oracle, oracle.cache_digest, seeds)
-        first_bytes = json.dumps(first, sort_keys=True).encode("utf-8")
-        second_bytes = json.dumps(second, sort_keys=True).encode("utf-8")
-        identical = first_bytes == second_bytes
-        return CaseAudit(
-            name=case.name,
-            identical=identical,
-            fingerprint_sha256=hashlib.sha256(first_bytes).hexdigest(),
-            divergence=None if identical else _first_divergence(first, second),
-        )
-    if execution != "campaign":
-        raise ValueError(
-            f"unknown audit execution {execution!r}; "
-            "available: campaign, sharded"
-        )
-    with contracts(with_contracts):
-        if resume_parity:
-            with tempfile.TemporaryDirectory(prefix="repro-audit-") as ckpt_dir:
-                first, rounds = _run_fingerprint(
-                    case,
-                    seeds,
-                    optimizer,
-                    checkpoint_dir=ckpt_dir,
-                    keep_history=True,
-                )
-                mid = max(1, rounds // 2)
-                second, _ = _run_fingerprint(
-                    case,
-                    seeds,
-                    optimizer,
-                    resume_from=os.path.join(ckpt_dir, f"round-{mid:05d}.snapshot"),
-                )
-        else:
-            first, _ = _run_fingerprint(case, seeds, optimizer)
-            second, _ = _run_fingerprint(case, seeds, optimizer)
-    first_bytes = json.dumps(first, sort_keys=True).encode("utf-8")
-    second_bytes = json.dumps(second, sort_keys=True).encode("utf-8")
-    identical = first_bytes == second_bytes
-    return CaseAudit(
-        name=case.name,
-        identical=identical,
-        fingerprint_sha256=hashlib.sha256(first_bytes).hexdigest(),
-        divergence=None if identical else _first_divergence(first, second),
-    )
+    else:
+        with contracts(with_contracts):
+            if resume_parity:
+                with tempfile.TemporaryDirectory(prefix="repro-audit-") as ckpt_dir:
+                    first, rounds = _run_fingerprint(
+                        case,
+                        seeds,
+                        optimizer,
+                        checkpoint_dir=ckpt_dir,
+                        keep_history=True,
+                    )
+                    mid = max(1, rounds // 2)
+                    second, _ = _run_fingerprint(
+                        case,
+                        seeds,
+                        optimizer,
+                        resume_from=os.path.join(ckpt_dir, f"round-{mid:05d}.snapshot"),
+                    )
+            else:
+                first, _ = _run_fingerprint(case, seeds, optimizer)
+                second, _ = _run_fingerprint(case, seeds, optimizer)
+    return CaseAudit(case.name, *compare_fingerprints(first, second))
 
 
 def audit_suite(

@@ -6,19 +6,24 @@ topological sort per step.  For the tiny fixed-architecture MLP the search
 refits every iteration (Algorithm 1, line 8) that bookkeeping *is* the cost:
 the smoke benchmark spends ~90% of its wall time inside ``train_regressor``.
 
-:class:`FusedMLP` removes it.  The forward pass, the hand-derived backward
-pass (Linear / tanh / relu / sigmoid stacks under an MSE loss) and a
-flat-buffer :class:`FusedAdam` all operate on one concatenated ``float64``
-parameter vector, so a training step is a fixed, small sequence of NumPy
-calls with no per-op Python structures.
+This module removes it with one training kernel.  :class:`FusedMLP` holds
+one seed's parameters in a single ``float64`` vector and :class:`FusedAdam`
+that seed's Adam moments; :func:`fit_batched` trains any number of such
+pairs — one seed or many — by stacking their vectors into a
+``(n_seeds, n_params)`` tensor (:class:`BatchedFusedMLP` /
+:class:`BatchedFusedAdam`).  The forward pass, the hand-derived backward
+pass (Linear / tanh / relu / sigmoid stacks under an MSE loss) and the Adam
+update are then a fixed, small sequence of NumPy calls with a leading seed
+axis and no per-op Python structures.
 
 Every floating-point expression below is written to match the autodiff
 engine's backward pass operation for operation (same order, same
-power-of-two factors), so the two paths produce **bit-identical** losses,
-gradients and post-Adam weights on the same minibatch stream.  The autodiff
-:class:`~repro.nn.modules.MLP` + :class:`~repro.nn.optim.Adam` pair is the
-reference implementation this kernel is locked against by
-``tests/test_fused.py``; the search itself always trains fused.
+power-of-two factors), so each seed's losses, gradients and post-Adam
+weights are **bit-identical** to the autodiff path's on the same minibatch
+stream, at any seed count.  The autodiff :class:`~repro.nn.modules.MLP` +
+:class:`~repro.nn.optim.Adam` pair is the reference implementation this
+kernel is locked against by ``tests/test_fused.py`` and
+``tests/test_batched_refit.py``; the search itself always trains fused.
 
 Weights round-trip with the autodiff :class:`~repro.nn.modules.MLP` via
 :meth:`FusedMLP.from_module` / :meth:`FusedMLP.to_module`, and the
@@ -33,25 +38,49 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.contracts import ArraySpec, contract
+from repro.analysis.contracts import ArraySpec, SeqLen, contract
 from repro.nn.modules import MLP, Activation, Linear
 from repro.nn.optim import bias_correction
 from repro.obs import span
 
 
+def _layer_views(
+    theta: np.ndarray, shapes: Sequence[Tuple[int, int]]
+) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """Per-layer weight/bias *views* into a flat parameter buffer.
+
+    ``theta`` is one seed's ``(n_params,)`` vector or a seed-stacked
+    ``(n_seeds, n_params)`` tensor; the layout is the ``state_dict`` one
+    (W0 b0 W1 b1 ...), and views gain the same leading axes as ``theta``.
+    """
+    lead = theta.shape[:-1]
+    weights: List[np.ndarray] = []
+    biases: List[np.ndarray] = []
+    offset = 0
+    for fan_in, fan_out in shapes:
+        weights.append(
+            theta[..., offset:offset + fan_in * fan_out].reshape(*lead, fan_in, fan_out)
+        )
+        offset += fan_in * fan_out
+        biases.append(theta[..., offset:offset + fan_out])
+        offset += fan_out
+    return weights, biases
+
+
 class FusedMLP:
-    """An MLP whose parameters live in one flat ``float64`` buffer.
+    """One seed's MLP, its parameters in one flat ``float64`` buffer.
 
     Accepts the same constructor arguments as :class:`repro.nn.modules.MLP`
     and performs the same RNG draws, so ``FusedMLP(..., rng=g)`` and
     ``MLP(..., rng=g2)`` with identically-seeded generators start from
-    bit-identical weights.
+    bit-identical weights.  The class holds parameters and runs inference;
+    training goes through :func:`fit_batched`.
 
     Attributes
     ----------
     theta:
-        The concatenated parameter vector.  Per-layer weight/bias arrays are
-        *views* into it, so a flat optimizer step updates the layers in place.
+        The concatenated parameter vector (the ``state_dict`` layout, W0 b0
+        W1 b1 ...).  Per-layer weight/bias arrays are *views* into it.
     """
 
     def __init__(
@@ -109,34 +138,10 @@ class FusedMLP:
 
         total = sum(i * o + o for i, o in self._shapes)
         self.theta = np.empty(total, dtype=np.float64)
-        # The per-step gradient lives in a single reusable buffer; per-layer
-        # weight/bias gradients are views into it so the backward pass can
-        # write matmul results straight into place with ``out=``.  The array
-        # returned by :meth:`loss_and_grad` is therefore only valid until the
-        # next call — copy it to keep it.
-        self._grad = np.empty(total, dtype=np.float64)
-        # Per-batch-size scratch buffers for every forward/backward
-        # intermediate (see _scratch_for); the training step performs no
-        # heap allocation after the first batch of a given size.
-        self._scratch: Dict[int, tuple] = {}
-        self._weights: List[np.ndarray] = []
-        self._biases: List[np.ndarray] = []
-        self._grad_weights: List[np.ndarray] = []
-        self._grad_biases: List[np.ndarray] = []
-        offset = 0
-        for layer, (fan_in, fan_out) in zip(linears, self._shapes):
-            w_slice = slice(offset, offset + fan_in * fan_out)
-            offset += fan_in * fan_out
-            b_slice = slice(offset, offset + fan_out)
-            offset += fan_out
-            weight = self.theta[w_slice].reshape(fan_in, fan_out)
-            bias = self.theta[b_slice]
+        self._weights, self._biases = _layer_views(self.theta, self._shapes)
+        for layer, weight, bias in zip(linears, self._weights, self._biases):
             weight[...] = layer.weight.data
             bias[...] = layer.bias.data
-            self._weights.append(weight)
-            self._biases.append(bias)
-            self._grad_weights.append(self._grad[w_slice].reshape(fan_in, fan_out))
-            self._grad_biases.append(self._grad[b_slice])
 
     @classmethod
     def from_module(cls, module: MLP) -> "FusedMLP":
@@ -193,7 +198,7 @@ class FusedMLP:
             target[...] = incoming
 
     # ------------------------------------------------------------------
-    # Forward / fused backward
+    # Inference
     # ------------------------------------------------------------------
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Inference forward pass on raw arrays."""
@@ -206,152 +211,6 @@ class FusedMLP:
 
     __call__ = predict
 
-    def _scratch_for(self, rows: int) -> tuple:
-        """Reusable per-layer buffers for a given minibatch row count.
-
-        ``z``/``a`` hold pre-/post-activation values (aliased for identity
-        layers), ``g`` the backward gradients per layer, ``tmp`` activation-
-        derivative workspace (the last entry doubles as the squared-error
-        buffer).  Allocated once per distinct batch size, then reused.
-        """
-        cached = self._scratch.get(rows)
-        if cached is None:
-            z_buffers, a_buffers, g_buffers, tmp_buffers = [], [], [], []
-            # The allocations below run once per distinct batch size and are
-            # what keeps loss_and_grad itself allocation-free.
-            for (_, fan_out), act in zip(self._shapes, self._activations):
-                z = np.empty((rows, fan_out))  # analysis: allow(hot-loop-alloc)
-                z_buffers.append(z)
-                # analysis: allow(hot-loop-alloc) one-time scratch
-                a_buffers.append(z if act == "identity" else np.empty((rows, fan_out)))
-                g_buffers.append(np.empty((rows, fan_out)))  # analysis: allow(hot-loop-alloc)
-                tmp_buffers.append(np.empty((rows, fan_out)))  # analysis: allow(hot-loop-alloc)
-            cached = (z_buffers, a_buffers, g_buffers, tmp_buffers)
-            self._scratch[rows] = cached
-        return cached
-
-    def loss_and_grad(self, inputs: np.ndarray, targets: np.ndarray) -> Tuple[float, np.ndarray]:
-        """One fused MSE step: scalar loss plus the flat gradient vector.
-
-        The expressions mirror the autodiff chain for
-        ``mse_loss(model(Tensor(x)), Tensor(y)).backward()`` term by term:
-        the mean splits into ``sum * (1/size)``, the squared difference
-        contributes its gradient twice (``g + g`` rather than ``2*g`` — the
-        same bits either way), and each layer differentiates in the same
-        operand order as the Tensor closures.  Every intermediate lands in a
-        per-batch-size scratch buffer via ``out=``, so a step is a fixed
-        sequence of allocation-free NumPy calls.
-
-        The returned gradient is a reusable internal buffer, overwritten by
-        the next ``loss_and_grad`` call; copy it if you need to keep it.
-        """
-        if not (isinstance(inputs, np.ndarray) and inputs.ndim == 2
-                and inputs.dtype == np.float64):
-            inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-        if not (isinstance(targets, np.ndarray) and targets.ndim == 2
-                and targets.dtype == np.float64):
-            targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-        weights, biases, activations = self._weights, self._biases, self._activations
-        last = len(weights) - 1
-        if targets.shape != (inputs.shape[0], weights[last].shape[1]):
-            raise ValueError(
-                f"targets shape {targets.shape} does not match "
-                f"({inputs.shape[0]}, {weights[last].shape[1]})"
-            )
-        z_buffers, a_buffers, g_buffers, tmp_buffers = self._scratch_for(inputs.shape[0])
-
-        # Forward, caching pre- and post-activation values per layer.
-        h = inputs
-        for index in range(last + 1):
-            z = z_buffers[index]
-            np.matmul(h, weights[index], out=z)
-            np.add(z, biases[index], out=z)
-            act = activations[index]
-            if act == "tanh":
-                h = np.tanh(z, out=a_buffers[index])
-            elif act == "relu":
-                h = np.maximum(z, 0.0, out=a_buffers[index])
-            elif act == "sigmoid":
-                a = a_buffers[index]
-                np.negative(z, out=a)
-                np.exp(a, out=a)
-                np.add(a, 1.0, out=a)
-                h = np.divide(1.0, a, out=a)
-            else:
-                h = z
-        prediction = h
-
-        # Loss and its gradient seed.
-        diff = g_buffers[last]
-        np.subtract(prediction, targets, out=diff)
-        squared = tmp_buffers[last]
-        np.multiply(diff, diff, out=squared)
-        inv_count = 1.0 / diff.size
-        loss = float(squared.sum() * inv_count)
-        np.multiply(diff, inv_count, out=diff)
-        grad_out = np.add(diff, diff, out=diff)
-
-        # Backward through the stack, writing straight into the flat grad.
-        for index in range(last, -1, -1):
-            act = activations[index]
-            if act == "tanh":
-                a, tmp = a_buffers[index], tmp_buffers[index]
-                np.multiply(a, a, out=tmp)
-                np.subtract(1.0, tmp, out=tmp)
-                np.multiply(grad_out, tmp, out=grad_out)
-            elif act == "relu":
-                np.multiply(grad_out, z_buffers[index] > 0.0, out=grad_out)
-            elif act == "sigmoid":
-                a, tmp = a_buffers[index], tmp_buffers[index]
-                np.multiply(grad_out, a, out=grad_out)
-                np.subtract(1.0, a, out=tmp)
-                np.multiply(grad_out, tmp, out=grad_out)
-            h = inputs if index == 0 else a_buffers[index - 1]
-            np.matmul(h.T, grad_out, out=self._grad_weights[index])
-            np.add.reduce(grad_out, axis=0, out=self._grad_biases[index])
-            if index > 0:
-                grad_out = np.matmul(grad_out, weights[index].T, out=g_buffers[index - 1])
-        return loss, self._grad
-
-    @contract(
-        args={"inputs": ArraySpec("n", None), "targets": ArraySpec("n", None)},
-        frozen=("inputs", "targets"),
-    )
-    @span("nn.fused_fit")
-    def fit(
-        self,
-        inputs: np.ndarray,
-        targets: np.ndarray,
-        epochs: int,
-        batch_size: int,
-        optimizer: "FusedAdam",
-        rng: np.random.Generator,
-    ) -> List[float]:
-        """Tight minibatch-Adam loop; returns the per-epoch mean losses.
-
-        Matches :func:`repro.nn.training.iterate_minibatches` semantics and
-        RNG consumption exactly (one permutation drawn per epoch, batches
-        taken in permuted order), but gathers each epoch's shuffle once and
-        hands contiguous slices to :meth:`loss_and_grad` — the same bits at
-        a fraction of the per-batch Python overhead.
-        """
-        count = inputs.shape[0]
-        loss_and_grad = self.loss_and_grad
-        step = optimizer.step
-        epoch_losses: List[float] = []
-        for _ in range(epochs):
-            order = rng.permutation(count)
-            shuffled_x = inputs[order]
-            shuffled_y = targets[order]
-            losses = []
-            for start in range(0, count, batch_size):
-                stop = start + batch_size
-                loss, grad = loss_and_grad(shuffled_x[start:stop], shuffled_y[start:stop])
-                step(grad)
-                losses.append(loss)
-            epoch_losses.append(float(np.mean(losses)))
-        return epoch_losses
-
     def __repr__(self) -> str:
         return (
             f"FusedMLP(in={self.in_features}, hidden={self.hidden}, "
@@ -360,12 +219,12 @@ class FusedMLP:
 
 
 class FusedAdam:
-    """Adam over one flat parameter vector.
+    """One seed's Adam state over a :class:`FusedMLP`'s flat parameters.
 
-    Performs the same elementwise update sequence as
-    :class:`repro.nn.optim.Adam` (same ``m``/``v`` recurrences, same bias
-    correction, same epsilon placement), just on the concatenated buffer —
-    so its steps are bit-identical to the per-parameter optimizer's.
+    Holds the hyper-parameters, the ``m``/``v`` moments (flat, aligned with
+    ``model.theta``) and the step count ``t``, which persist across refits
+    and round-trip through :meth:`state_dict`.  The update itself runs in
+    :class:`BatchedFusedAdam` inside :func:`fit_batched`.
     """
 
     def __init__(
@@ -376,7 +235,6 @@ class FusedAdam:
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ) -> None:
-        self.model = model
         self.theta = model.theta
         self.lr = lr
         self.beta1, self.beta2 = betas
@@ -384,11 +242,6 @@ class FusedAdam:
         self.weight_decay = weight_decay
         self._m = np.zeros_like(self.theta)
         self._v = np.zeros_like(self.theta)
-        # Scratch buffers so a step performs zero heap allocations; every
-        # ``out=`` rewrite below computes the same value, in the same
-        # rounding order, as the plain-expression per-parameter optimizer.
-        self._s1 = np.empty_like(self.theta)
-        self._s2 = np.empty_like(self.theta)
         self._t = 0
 
     def state_dict(self) -> Dict[str, object]:
@@ -407,36 +260,9 @@ class FusedAdam:
         self._v[...] = state["v"]
         self._t = int(state["t"])
 
-    def step(self, grad: np.ndarray) -> None:
-        """Apply one Adam update for the given flat gradient."""
-        if grad.shape != self.theta.shape:
-            raise ValueError(f"gradient shape {grad.shape} vs theta {self.theta.shape}")
-        self._t += 1
-        if self.weight_decay:
-            grad = grad + self.weight_decay * self.theta
-        m, v, s1, s2 = self._m, self._v, self._s1, self._s2
-        # m = beta1*m + (1-beta1)*grad
-        np.multiply(m, self.beta1, out=m)
-        np.multiply(grad, 1.0 - self.beta1, out=s1)
-        np.add(m, s1, out=m)
-        # v = beta2*v + (1-beta2)*grad^2
-        np.multiply(v, self.beta2, out=v)
-        np.multiply(grad, grad, out=s1)
-        np.multiply(s1, 1.0 - self.beta2, out=s1)
-        np.add(v, s1, out=v)
-        # theta -= lr * m_hat / (sqrt(v_hat) + eps)
-        np.divide(m, bias_correction(self.beta1, self._t), out=s1)
-        np.divide(v, bias_correction(self.beta2, self._t), out=s2)
-        np.sqrt(s2, out=s2)
-        np.add(s2, self.eps, out=s2)
-        np.multiply(s1, self.lr, out=s1)
-        np.divide(s1, s2, out=s1)
-        np.subtract(self.theta, s1, out=self.theta)
-
-
 
 class BatchedFusedMLP:
-    """``n_seeds`` independent :class:`FusedMLP` replicas trained as one tensor.
+    """``n_seeds`` :class:`FusedMLP` replicas trained as one tensor.
 
     The same tensorization move the corner engine applied to evaluation,
     applied to training: the seeds' flat parameter vectors stack into a
@@ -445,15 +271,17 @@ class BatchedFusedMLP:
     broadcast forward/backward step advances every seed at once.  All seeds
     must share one architecture (see :func:`fit_job_signature`) **and one
     minibatch shape per step**: a 3-D ``matmul`` runs each seed's slice
-    through the same 2-D gemm the single-seed path runs, so same-shape
-    stacking is bit-transparent, whereas zero-padding ragged rows is *not*
-    (BLAS picks row-count-dependent kernels — a padded gemm's first rows can
-    differ from the unpadded gemm's in the last ulp).  That is why
-    :func:`fit_batched` buckets jobs by dataset geometry instead of padding.
+    through the same 2-D gemm the autodiff reference runs for that seed
+    alone, so same-shape stacking is bit-transparent, whereas zero-padding
+    ragged rows is *not* (BLAS picks row-count-dependent kernels — a padded
+    gemm's first rows can differ from the unpadded gemm's in the last ulp).
+    That is why :func:`fit_batched` buckets jobs by dataset geometry
+    instead of padding.  ``n_seeds=1`` is the lone-seed case, not a
+    special one.
 
     Per-seed loss reduction (no cross-seed leakage) happens over each seed's
-    own contiguous ``(rows, out)`` block, the same shape the single-seed
-    path reduces, so NumPy's pairwise summation takes the same tree and the
+    own contiguous ``(rows, out)`` block, the same shape the reference
+    reduces, so NumPy's pairwise summation takes the same tree and the
     same bits.  Weights move between the stacked tensor and the per-seed
     models through :meth:`gather` / :meth:`scatter`, which copy the flat
     buffers directly (the flat layout *is* the ``state_dict`` layout, W0 b0
@@ -472,24 +300,12 @@ class BatchedFusedMLP:
         self._shapes = list(template._shapes)
         total = template.num_parameters
         self.theta = np.empty((n_seeds, total), dtype=np.float64)
+        # The per-step gradient has the same stacked layout, so the backward
+        # pass writes matmul results straight into place with ``out=``.
         self._grad = np.empty((n_seeds, total), dtype=np.float64)
         self._scratch: Dict[int, tuple] = {}
-        self._weights: List[np.ndarray] = []
-        self._biases: List[np.ndarray] = []
-        self._grad_weights: List[np.ndarray] = []
-        self._grad_biases: List[np.ndarray] = []
-        offset = 0
-        for fan_in, fan_out in self._shapes:
-            w_slice = slice(offset, offset + fan_in * fan_out)
-            offset += fan_in * fan_out
-            b_slice = slice(offset, offset + fan_out)
-            offset += fan_out
-            self._weights.append(self.theta[:, w_slice].reshape(n_seeds, fan_in, fan_out))
-            self._biases.append(self.theta[:, b_slice])
-            self._grad_weights.append(
-                self._grad[:, w_slice].reshape(n_seeds, fan_in, fan_out)
-            )
-            self._grad_biases.append(self._grad[:, b_slice])
+        self._weights, self._biases = _layer_views(self.theta, self._shapes)
+        self._grad_weights, self._grad_biases = _layer_views(self._grad, self._shapes)
 
     @property
     def num_parameters(self) -> int:
@@ -512,27 +328,25 @@ class BatchedFusedMLP:
             model.theta[...] = self.theta[index]
 
     def _scratch_for(self, rows: int) -> tuple:
-        """Stacked per-layer buffers for a given minibatch row count.
+        """Reusable per-layer buffers for a given minibatch row count.
 
-        Same role as :meth:`FusedMLP._scratch_for` with a leading seed axis;
-        allocated once per distinct row count, then reused.
+        ``z``/``a`` hold pre-/post-activation values (aliased for identity
+        layers), ``g`` the backward gradients per layer, ``tmp`` activation-
+        derivative workspace (the last entry doubles as the squared-error
+        buffer), each with a leading seed axis.  Allocated once per distinct
+        row count, then reused, so a training step performs no heap
+        allocation.
         """
         cached = self._scratch.get(rows)
         if cached is None:
-            z_buffers, a_buffers, g_buffers, tmp_buffers = [], [], [], []
-            for (_, fan_out), act in zip(self._shapes, self._activations):
-                # analysis: allow(hot-loop-alloc) one-time scratch per row count
-                z = np.empty((self.n_seeds, rows, fan_out))
-                z_buffers.append(z)
-                if act == "identity":
-                    a_buffers.append(z)
-                else:
-                    # analysis: allow(hot-loop-alloc) one-time scratch
-                    a_buffers.append(np.empty((self.n_seeds, rows, fan_out)))
-                # analysis: allow(hot-loop-alloc) one-time scratch
-                g_buffers.append(np.empty((self.n_seeds, rows, fan_out)))
-                # analysis: allow(hot-loop-alloc) one-time scratch
-                tmp_buffers.append(np.empty((self.n_seeds, rows, fan_out)))
+            shapes = [(self.n_seeds, rows, fan_out) for _, fan_out in self._shapes]
+            z_buffers = [np.empty(shape) for shape in shapes]
+            a_buffers = [
+                z if act == "identity" else np.empty(z.shape)
+                for z, act in zip(z_buffers, self._activations)
+            ]
+            g_buffers = [np.empty(shape) for shape in shapes]
+            tmp_buffers = [np.empty(shape) for shape in shapes]
             cached = (z_buffers, a_buffers, g_buffers, tmp_buffers)
             self._scratch[rows] = cached
         return cached
@@ -542,9 +356,14 @@ class BatchedFusedMLP:
 
         ``inputs``/``targets`` are ``(n_seeds, rows, features)`` — every
         seed contributes the same number of rows (callers bucket by
-        geometry), so every ``matmul``/ufunc below is the single-seed op
-        with one leading batch axis and the bits come out identical to
-        ``n_seeds`` independent :meth:`FusedMLP.loss_and_grad` calls.
+        geometry), so every ``matmul``/ufunc below is a single-seed op with
+        one leading batch axis.  The expressions mirror the autodiff chain
+        for ``mse_loss(model(Tensor(x)), Tensor(y)).backward()`` term by
+        term: the mean splits into ``sum * (1/size)``, the squared
+        difference contributes its gradient twice (``g + g`` rather than
+        ``2*g`` — the same bits either way), and each layer differentiates
+        in the same operand order as the Tensor closures.  Every
+        intermediate lands in a scratch buffer via ``out=``.
 
         Returns the per-seed losses; the gradients land in ``self._grad``
         (valid until the next call).
@@ -634,12 +453,16 @@ class BatchedFusedMLP:
 class BatchedFusedAdam:
     """Adam over the ``(n_seeds, n_params)`` stacked parameter tensor.
 
-    Runs :class:`FusedAdam`'s exact ``out=`` update sequence with a leading
-    seed axis.  Each seed keeps its own integer step count (seeds may
-    arrive mid-training with different histories), and the bias corrections
-    are computed with the same Python ``**`` on that count
+    Performs the same elementwise update sequence as
+    :class:`repro.nn.optim.Adam` (same ``m``/``v`` recurrences, same bias
+    correction, same epsilon placement) as ``out=`` rewrites on the stacked
+    buffers, with a leading seed axis.  Each seed keeps its own integer step
+    count (seeds may arrive mid-training with different histories), and the
+    bias corrections are computed with the same Python ``**`` on that count
     (:func:`repro.nn.optim.bias_correction`) before broadcasting, so every
-    seed's update is bit-identical to its solo :class:`FusedAdam` one.
+    seed's update is bit-identical to the per-parameter optimizer's.
+    Moments and step counts move to and from the per-seed
+    :class:`FusedAdam` states through :meth:`gather` / :meth:`scatter`.
     """
 
     def __init__(
@@ -658,6 +481,9 @@ class BatchedFusedAdam:
         self.weight_decay = weight_decay
         self._m = np.zeros_like(self.theta)
         self._v = np.zeros_like(self.theta)
+        # Scratch buffers so a step performs zero heap allocations; every
+        # ``out=`` rewrite below computes the same value, in the same
+        # rounding order, as the plain-expression per-parameter optimizer.
         self._s1 = np.empty_like(self.theta)
         self._s2 = np.empty_like(self.theta)
         self._t: List[int] = [0] * model.n_seeds
@@ -723,8 +549,9 @@ class BatchedFusedAdam:
 class FusedFitJob:
     """One seed's pending training run, as consumed by :func:`fit_batched`.
 
-    Exactly the arguments :meth:`FusedMLP.fit` would take, bundled so a
-    round's worth of refits can be collected first and dispatched together.
+    The model and its optimizer state, the training data and the schedule,
+    bundled so a round's worth of refits can be collected first and
+    dispatched together.  ``rng`` draws the epoch shuffles.
     """
 
     model: FusedMLP
@@ -757,40 +584,49 @@ def fit_job_signature(job: FusedFitJob) -> tuple:
     )
 
 
-def _fit_bucket(jobs: List[FusedFitJob], inputs_list: List[np.ndarray],
-                targets_list: List[np.ndarray]) -> List[List[float]]:
+@contract(
+    args={
+        "jobs": SeqLen("s"),
+        "inputs": ArraySpec("s", "n", None),
+        "targets": ArraySpec("s", "n", None),
+    },
+    frozen=("inputs", "targets"),
+)
+def _fit_bucket(jobs: List[FusedFitJob], inputs: np.ndarray,
+                targets: np.ndarray) -> List[List[float]]:
     """Lockstep-train jobs that share one dataset geometry.
 
-    All jobs have the same (row count, batch size, epochs), so each global
-    step runs one stacked forward/backward/Adam update in which every
-    seed's slice has the single-seed shapes — the bit-transparent case.
-    Each seed draws its epoch permutations from its own generator, in the
-    same order the sequential path would.
+    ``inputs``/``targets`` stack the jobs' training arrays as
+    ``(n_seeds, rows, features)``.  All jobs have the same (row count,
+    batch size, epochs), so each global step runs one stacked
+    forward/backward/Adam update in which every seed's slice has the
+    reference's shapes — the bit-transparent case.  Each seed draws its
+    epoch permutations from its own generator, in the same order
+    :func:`repro.nn.training.iterate_minibatches` would.  Under
+    :func:`~repro.analysis.contracts.contracts` the stacked arrays must
+    agree on seed and row counts and are read-only for the call, so an
+    in-place write to the training data faults at the writing line.
     """
-    n = len(jobs)
-    count = inputs_list[0].shape[0]
+    n, count = inputs.shape[0], inputs.shape[1]
     epochs, batch_size = jobs[0].epochs, jobs[0].batch_size
     batched = BatchedFusedMLP(jobs[0].model, n)
     batched.gather([job.model for job in jobs])
+    hyper = jobs[0].adam
     adam = BatchedFusedAdam(
-        batched,
-        lr=jobs[0].adam.lr,
-        betas=(jobs[0].adam.beta1, jobs[0].adam.beta2),
-        eps=jobs[0].adam.eps,
-        weight_decay=jobs[0].adam.weight_decay,
+        batched, hyper.lr, (hyper.beta1, hyper.beta2), hyper.eps, hyper.weight_decay
     )
     adam.gather([job.adam for job in jobs])
 
-    shuf_x = np.empty((n, count, batched.in_features))
-    shuf_y = np.empty((n, count, batched.out_features))
+    shuf_x = np.empty_like(inputs)
+    shuf_y = np.empty_like(targets)
     grad = batched._grad
     epoch_losses: List[List[float]] = [[] for _ in range(n)]
     step_losses: List[List[float]] = [[] for _ in range(n)]
     for _ in range(epochs):
         for index, job in enumerate(jobs):
             permutation = job.rng.permutation(count)
-            np.take(inputs_list[index], permutation, axis=0, out=shuf_x[index])
-            np.take(targets_list[index], permutation, axis=0, out=shuf_y[index])
+            np.take(inputs[index], permutation, axis=0, out=shuf_x[index])
+            np.take(targets[index], permutation, axis=0, out=shuf_y[index])
         for start in range(0, count, batch_size):
             stop = min(start + batch_size, count)
             losses = batched.loss_and_grad(
@@ -808,10 +644,12 @@ def _fit_bucket(jobs: List[FusedFitJob], inputs_list: List[np.ndarray],
     return epoch_losses
 
 
+@span("nn.fused_fit")
 def fit_batched(jobs: Sequence[FusedFitJob]) -> List[List[float]]:
-    """Train every job's model through stacked kernels; bit-identical bits.
+    """Train every job's model through the stacked kernel; bit-identical bits.
 
-    Jobs must share one architecture and Adam hyper-parameters
+    The one training entry point: a lone refit is a one-job call.  Jobs
+    must share one architecture and Adam hyper-parameters
     (:func:`fit_job_signature`); within that, they are bucketed by dataset
     geometry — ``(rows, batch_size, epochs)`` — and each bucket trains in
     lockstep through one :class:`BatchedFusedMLP`/:class:`BatchedFusedAdam`
@@ -820,8 +658,7 @@ def fit_batched(jobs: Sequence[FusedFitJob]) -> List[List[float]]:
     only same-shape stacking is safe.  In the campaign the live members of
     a phase share geometry (same round, same schedule), which is exactly
     where the refit time is spent.  Ragged stragglers simply land in
-    smaller buckets; a one-job bucket degenerates to the sequential
-    computation on stacked views.
+    smaller buckets, down to one job at seed count 1.
 
     Returns each job's per-epoch mean losses, in input order.
     """
@@ -837,7 +674,7 @@ def fit_batched(jobs: Sequence[FusedFitJob]) -> List[List[float]]:
 
     inputs_list: List[np.ndarray] = []
     targets_list: List[np.ndarray] = []
-    for job in jobs:
+    for index, job in enumerate(jobs):
         # Cold per-dispatch coercion, mirroring train_regressor's (a no-op
         # for the float64 2-D views the search hands over).
         # analysis: allow(hot-loop-alloc)
@@ -846,7 +683,18 @@ def fit_batched(jobs: Sequence[FusedFitJob]) -> List[List[float]]:
         targets = np.atleast_2d(np.asarray(job.targets, dtype=np.float64))
         if inputs.shape[0] != targets.shape[0] or inputs.shape[0] < 1:
             raise ValueError(
-                f"job has {inputs.shape[0]} input rows vs {targets.shape[0]} target rows"
+                f"job {index} has {inputs.shape[0]} input rows vs "
+                f"{targets.shape[0]} target rows"
+            )
+        if inputs.shape[1] != job.model.in_features:
+            raise ValueError(
+                f"job {index} inputs have {inputs.shape[1]} columns, "
+                f"the model expects {job.model.in_features}"
+            )
+        if targets.shape[1] != job.model.out_features:
+            raise ValueError(
+                f"job {index} targets have {targets.shape[1]} columns, "
+                f"the model expects {job.model.out_features}"
             )
         if job.epochs < 0 or job.batch_size < 1:
             raise ValueError(f"bad epochs/batch_size: {job.epochs}/{job.batch_size}")
@@ -859,28 +707,15 @@ def fit_batched(jobs: Sequence[FusedFitJob]) -> List[List[float]]:
         buckets.setdefault(key, []).append(index)
 
     results: List[List[float]] = [[] for _ in jobs]
-    for (_, batch_size, epochs), indices in buckets.items():
+    for (_, _, epochs), indices in buckets.items():
         if epochs == 0:
-            continue
-        if len(indices) == 1:
-            # A lone job gains nothing from the stacked views; run it
-            # through the very kernel the sequential path runs (trivially
-            # bit-identical, and none of the gather/stack overhead).
-            index = indices[0]
-            job = jobs[index]
-            results[index] = job.model.fit(
-                inputs_list[index],
-                targets_list[index],
-                epochs,
-                batch_size,
-                job.adam,
-                job.rng,
-            )
             continue
         bucket_losses = _fit_bucket(
             [jobs[i] for i in indices],
-            [inputs_list[i] for i in indices],
-            [targets_list[i] for i in indices],
+            # analysis: allow(hot-loop-alloc) one stack per bucket dispatch
+            np.stack([inputs_list[i] for i in indices]),
+            # analysis: allow(hot-loop-alloc) one stack per bucket dispatch
+            np.stack([targets_list[i] for i in indices]),
         )
         for position, original in enumerate(indices):
             results[original] = bucket_losses[position]

@@ -12,11 +12,10 @@ from repro.autodiff import Tensor
 def bias_correction(beta: float, t: int) -> float:
     """Adam's ``1 - beta**t`` debiasing denominator.
 
-    Every Adam flavour in the repo (:class:`Adam`,
-    :class:`repro.nn.fused.FusedAdam`,
-    :class:`repro.nn.fused.BatchedFusedAdam`) must compute this with the
-    same Python ``**`` on the integer step count — sharing the helper keeps
-    their bits from drifting apart.
+    Both Adam updates in the repo (:class:`Adam` and the fused kernel's
+    :class:`repro.nn.fused.BatchedFusedAdam`, at any seed count) must
+    compute this with the same Python ``**`` on the integer step count —
+    sharing the helper keeps their bits from drifting apart.
     """
     return 1.0 - beta ** t
 

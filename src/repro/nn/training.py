@@ -14,7 +14,7 @@ from typing import List, Optional, Union
 import numpy as np
 
 from repro.autodiff import Tensor
-from repro.nn.fused import FusedAdam, FusedMLP
+from repro.nn.fused import FusedAdam, FusedFitJob, FusedMLP, fit_batched
 from repro.nn.losses import mse_loss
 from repro.nn.modules import MLP
 from repro.nn.optim import Adam, Optimizer
@@ -71,10 +71,10 @@ def train_regressor(
     Parameters
     ----------
     model:
-        The MLP to train in-place.  A :class:`FusedMLP` trains on the
-        hand-derived NumPy fast path, an autodiff :class:`MLP` through the
-        Tensor graph — the reference implementation the fused kernel is
-        locked against.
+        The MLP to train in-place.  A :class:`FusedMLP` trains through the
+        stacked fused kernel as a one-job :func:`~repro.nn.fused.fit_batched`
+        dispatch, an autodiff :class:`MLP` through the Tensor graph — the
+        reference implementation the fused kernel is locked against.
     inputs, targets:
         2-D arrays of shape ``(n_samples, n_features)`` / ``(n_samples, n_outputs)``.
     epochs, batch_size, lr:
@@ -94,7 +94,8 @@ def train_regressor(
 
     Both paths consume the same minibatch RNG stream and perform
     bit-identical floating-point updates, so the choice never changes the
-    fitted weights — only how fast they are reached.
+    fitted weights — only how fast they are reached.  A fused model must
+    match the data's widths; a mismatch raises ``ValueError``.
     """
     rng = resolve_rng(rng, seed)
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
@@ -108,7 +109,8 @@ def train_regressor(
             optimizer = FusedAdam(model, lr=lr, weight_decay=l2)
         elif not isinstance(optimizer, FusedAdam):
             raise ValueError("a FusedMLP requires a FusedAdam optimizer")
-        history.losses.extend(model.fit(inputs, targets, epochs, batch_size, optimizer, rng))
+        job = FusedFitJob(model, optimizer, inputs, targets, epochs, batch_size, rng)
+        history.losses.extend(fit_batched([job])[0])
         return history
 
     if optimizer is None:

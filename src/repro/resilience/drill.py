@@ -148,16 +148,13 @@ def _strip_counters(fingerprint: Dict[str, Any]) -> Dict[str, Any]:
 def _compare(
     oracle: Dict[str, Any], resumed: Dict[str, Any], full: bool
 ) -> Tuple[bool, Optional[str]]:
-    from repro.analysis.determinism import _first_divergence
+    from repro.analysis.determinism import compare_fingerprints
 
     left, right = (
         (oracle, resumed) if full else (_strip_counters(oracle), _strip_counters(resumed))
     )
-    left_bytes = json.dumps(left, sort_keys=True).encode("utf-8")
-    right_bytes = json.dumps(right, sort_keys=True).encode("utf-8")
-    if left_bytes == right_bytes:
-        return True, None
-    return False, _first_divergence(left, right)
+    identical, _, divergence = compare_fingerprints(left, right)
+    return identical, divergence
 
 
 def drill_case(

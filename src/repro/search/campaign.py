@@ -623,11 +623,10 @@ class Campaign:
         """Collect and dispatch every member's queued refit for this round.
 
         Jobs are grouped by :func:`fit_job_signature` (members in different
-        phases have different surrogate output widths); each multi-job group
-        trains through one stacked :func:`fit_batched` dispatch, lone jobs
-        through the same kernel at seed count 1.  Either way the per-seed
-        bits equal the sequential inline refit, so deferral is invisible to
-        trajectories — only to the wall clock.
+        phases have different surrogate output widths); each group trains
+        through one :func:`fit_batched` dispatch, a lone job at seed count
+        1.  Either way the per-seed bits equal the sequential inline refit,
+        so deferral is invisible to trajectories — only to the wall clock.
         """
         pending: List[Tuple[_ProgressiveMember, FusedFitJob]] = []
         for member in self._members:
@@ -642,39 +641,36 @@ class Campaign:
         for member, job in pending:
             groups.setdefault(fit_job_signature(job), []).append((member, job))
         for grouped in groups.values():
-            if len(grouped) == 1:
-                self._run_refit_single(*grouped[0])
-            else:
-                self._run_refit_batched(grouped)
+            self._run_refit(grouped)
 
-    def _run_refit_single(self, member: _ProgressiveMember, job: FusedFitJob) -> None:
-        """A lone deferred refit: same accounting as the inline path."""
-        with profiled(
-            "trust_region.refit", epochs=job.epochs, rows=int(job.inputs.shape[0])
-        ) as timer:
-            fit_batched([job])
-        member.optimizer.refit_seconds += timer.seconds
-
-    def _run_refit_batched(
+    def _run_refit(
         self, grouped: List[Tuple[_ProgressiveMember, FusedFitJob]]
     ) -> None:
-        """One stacked training dispatch for same-signature refit jobs.
+        """One training dispatch for same-signature refit jobs.
 
-        The kernel wall time is attributed back to the members
-        proportionally to each job's training volume (epochs x rows), the
-        refit analogue of the eval-side miss-share attribution — so the
-        per-seed ``refit_seconds`` still sum to the campaign-wide cost.
+        A lone job is traced and timed like the inline refit
+        (``trust_region.refit``); two or more are a stacked dispatch
+        (``campaign.refit_batched``), the only kind
+        ``batched_kernel_calls`` counts.  The kernel wall time is
+        attributed back to the members proportionally to each job's
+        training volume (epochs x rows), the refit analogue of the
+        eval-side miss-share attribution — so the per-seed
+        ``refit_seconds`` still sum to the campaign-wide cost.
         """
         jobs = [job for _, job in grouped]
-        weights = [job.epochs * int(job.inputs.shape[0]) for job in jobs]
-        with profiled(
-            "campaign.refit_batched",
-            n_seeds=len(jobs),
-            n_params=jobs[0].model.num_parameters,
-            rows=sum(int(job.inputs.shape[0]) for job in jobs),
-        ) as timer:
+        rows = [int(job.inputs.shape[0]) for job in jobs]
+        if len(jobs) == 1:
+            name, tags = "trust_region.refit", {"epochs": jobs[0].epochs, "rows": rows[0]}
+        else:
+            name, tags = "campaign.refit_batched", {
+                "n_seeds": len(jobs),
+                "n_params": jobs[0].model.num_parameters,
+                "rows": sum(rows),
+            }
+        with profiled(name, **tags) as timer:
             fit_batched(jobs)
-        self.batched_kernel_calls += 1
+        self.batched_kernel_calls += int(len(jobs) > 1)
+        weights = [job.epochs * count for job, count in zip(jobs, rows)]
         total = sum(weights)
         for (member, _), weight in zip(grouped, weights):
             member.optimizer.refit_seconds += (

@@ -45,7 +45,7 @@ import numpy as np
 from repro.core.design_space import DesignSpace
 from repro.obs import profiled
 from repro.resilience.faults import fault_point, register_fault_site
-from repro.nn.fused import FusedAdam, FusedFitJob, FusedMLP
+from repro.nn.fused import FusedAdam, FusedFitJob, FusedMLP, fit_batched
 from repro.nn.modules import MLP
 from repro.nn.scalers import StandardScaler
 from repro.analysis.contracts import contract
@@ -179,9 +179,10 @@ class TrustRegionSearch(DatasetOptimizer):
     def take_refit_job(self) -> Optional[FusedFitJob]:
         """Pop this round's queued refit as a fit job, or ``None``.
 
-        Runs the tell-side bookkeeping the inline path would have run
-        (fault site, refit counter, lazy surrogate build) at pop time, so
-        kill-and-resume drills cover the batched path too.
+        Runs the refit bookkeeping (fault site, refit counter, lazy
+        surrogate build) at pop time.  The inline refit pops its own job
+        here too, so kill-and-resume drills cover both paths with one
+        sequence.
         """
         if self._pending_refit_epochs is None:
             return None
@@ -202,13 +203,12 @@ class TrustRegionSearch(DatasetOptimizer):
         )
 
     def _refit_surrogate(self, epochs: int) -> None:
+        self._pending_refit_epochs = epochs
         if self._refit_deferred:
-            self._pending_refit_epochs = epochs
             return
-        fault_point(SITE_REFIT)
-        self.refit_count += 1
+        job = self.take_refit_job()
         with profiled("trust_region.refit", epochs=epochs, rows=self._count) as timer:
-            self._refit_surrogate_inner(epochs)
+            fit_batched([job])
         self.refit_seconds += timer.seconds
 
     def _build_surrogate(self) -> None:
@@ -232,18 +232,6 @@ class TrustRegionSearch(DatasetOptimizer):
         # the regression problem under the persistent Adam moments.
         self._output_scaler = StandardScaler().fit(metrics)
 
-    def _refit_surrogate_inner(self, epochs: int) -> None:
-        metrics = self._M[: self._count]
-        self._ensure_surrogate(metrics)
-        self._surrogate.fit(
-            self._U[: self._count],
-            self._output_scaler.transform(metrics),
-            epochs,
-            self.config.surrogate_batch_size,
-            self._optimizer,
-            self.rng,
-        )
-
     # -- checkpoint/resume ---------------------------------------------
     def state_dict(self) -> Dict[str, object]:
         """Dataset state plus the trust-region and surrogate extras.
@@ -252,8 +240,8 @@ class TrustRegionSearch(DatasetOptimizer):
         reconstruct: parameter values, Adam moments/step and the frozen
         output-scaler statistics.  The network *shape* and its
         initialization RNG are derived from the config, so restore rebuilds
-        the surrogate exactly the way :meth:`_refit_surrogate_inner` does
-        and then overwrites the trained values.
+        the surrogate exactly the way the first refit does and then
+        overwrites the trained values.
         """
         if self._pending_refit_epochs is not None:
             raise RuntimeError(

@@ -7,6 +7,8 @@ clean on the final ``src/`` tree, and the determinism auditor must byte-diff
 a double-run to zero.
 """
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -419,6 +421,21 @@ class TestDeterminismAuditor:
         report = audit_case(get_suite("tiny")[0], seeds=[0])
         assert report.identical, report.divergence
         assert len(report.fingerprint_sha256) == 64
+
+    def test_compare_fingerprints_byte_compares_canonical_json(self):
+        from repro.analysis.determinism import compare_fingerprints
+
+        def digest(payload):
+            encoded = json.dumps(payload, sort_keys=True).encode("utf-8")
+            return hashlib.sha256(encoded).hexdigest()
+
+        first = {"b": [1, 2], "a": 0.5}
+        reordered = {"a": 0.5, "b": [1, 2]}
+        assert compare_fingerprints(first, reordered) == (True, digest(first), None)
+        # Equal in Python, different bytes: not identical, leaf named.
+        assert compare_fingerprints({"a": 1}, {"a": 1.0}) == (
+            False, digest({"a": 1}), "$.a: type int vs float"
+        )
 
     def test_divergence_pointer_names_the_field(self):
         from repro.analysis.determinism import _first_divergence

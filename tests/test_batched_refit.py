@@ -1,15 +1,18 @@
 """Batched-across-seeds surrogate refit: bitwise parity and accounting.
 
-The batched refit path (``repro.nn.fused.fit_batched`` driven by the
-campaign's end-of-round flush) claims *bit-identical* results versus
-training each seed alone.  These tests hold it to that: kernel-level locks
-compare per-epoch losses, parameters and Adam moments with
-``==``/``array_equal`` (never ``allclose``), and campaign-level locks
-byte-diff whole trajectories of a multi-seed campaign against one
-single-seed campaign per seed (whose lone refit jobs take ``fit_batched``'s
-single-job ``FusedMLP.fit`` path), through checkpoints, and under the
+``repro.nn.fused.fit_batched`` is the one training kernel: a lone refit is
+a one-job dispatch, a campaign round's refits one stacked dispatch.  It
+claims *bit-identical* results per seed versus the autodiff ``MLP``/``Adam``
+reference trained alone through ``train_regressor``.  These tests hold it
+to that at one seed and at several: kernel-level locks compare per-epoch
+losses, parameters and Adam moments with ``==``/``array_equal`` (never
+``allclose``), and campaign-level locks byte-diff whole trajectories of a
+multi-seed campaign against one single-seed campaign per seed (whose
+refits are one-job dispatches), through checkpoints, and under the
 determinism auditor.
 """
+
+from typing import List, NamedTuple
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ import pytest
 from repro.analysis.determinism import audit_case, fingerprint_outcome
 from repro.bench.registry import BenchCase, get_suite
 from repro.nn import (
+    Adam,
     BatchedFusedAdam,
     BatchedFusedMLP,
     FusedAdam,
@@ -24,6 +28,7 @@ from repro.nn import (
     FusedMLP,
     fit_batched,
     fit_job_signature,
+    train_regressor,
 )
 from repro.core.design_space import DesignSpace, Parameter
 from repro.resilience import FaultPlan, InjectedFault, inject
@@ -47,8 +52,9 @@ def make_data(seed, count, in_features=6, out_features=3):
 def make_job(seed, count, epochs=5, batch_size=16, **model_kwargs):
     """One (model, adam, data, rng) training job keyed by ``seed``.
 
-    Called twice with the same seed it produces bit-identical twins, so
-    one copy can train sequentially and the other through ``fit_batched``.
+    Called again with the same seed it produces bit-identical twins, so
+    one copy can train through ``fit_batched`` and another through the
+    autodiff reference.
     """
     model, adam = make_model(seed, **model_kwargs)
     inputs, targets = make_data(
@@ -65,43 +71,84 @@ def make_job(seed, count, epochs=5, batch_size=16, **model_kwargs):
     )
 
 
-def run_sequentially(jobs):
-    """The oracle: each job through the single-seed ``FusedMLP.fit``."""
-    return [
-        job.model.fit(
-            np.atleast_2d(np.asarray(job.inputs, dtype=np.float64)),
-            np.atleast_2d(np.asarray(job.targets, dtype=np.float64)),
-            job.epochs,
-            job.batch_size,
-            job.adam,
-            job.rng,
+def flatten(arrays) -> np.ndarray:
+    return np.concatenate([np.ravel(array) for array in arrays])
+
+
+class ReferenceRun(NamedTuple):
+    """One job trained by the autodiff reference, flattened to the fused layout."""
+
+    losses: List[float]
+    theta: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
+    t: int
+
+
+def run_reference(jobs):
+    """The oracle: each job trained alone by the autodiff ``MLP``/``Adam``.
+
+    Each job's fresh fused model is copied into an autodiff twin with a
+    fresh ``Adam`` (same weights, hyper-parameters, data and shuffle
+    stream), which ``train_regressor`` then trains through the Tensor graph.
+    """
+    runs = []
+    for job in jobs:
+        module = job.model.to_module()
+        adam = Adam(
+            module.parameters(),
+            lr=job.adam.lr,
+            betas=(job.adam.beta1, job.adam.beta2),
+            eps=job.adam.eps,
+            weight_decay=job.adam.weight_decay,
         )
-        if job.epochs > 0
-        else []
-        for job in jobs
-    ]
+        history = train_regressor(
+            module, job.inputs, job.targets, epochs=job.epochs,
+            batch_size=job.batch_size, optimizer=adam, rng=job.rng,
+        )
+        state = adam.state_dict()
+        runs.append(
+            ReferenceRun(
+                history.losses,
+                flatten(p.data for p in module.parameters()),
+                flatten(state["m"]),
+                flatten(state["v"]),
+                state["t"],
+            )
+        )
+    return runs
 
 
-def assert_jobs_bit_identical(batched_jobs, sequential_jobs):
-    for batched, sequential in zip(batched_jobs, sequential_jobs):
-        np.testing.assert_array_equal(batched.model.theta, sequential.model.theta)
-        np.testing.assert_array_equal(batched.adam._m, sequential.adam._m)
-        np.testing.assert_array_equal(batched.adam._v, sequential.adam._v)
-        assert batched.adam._t == sequential.adam._t
+def assert_matches_reference(jobs, losses, reference):
+    """Per seed: losses, weights and Adam m/v/t equal the reference's bits."""
+    assert len(jobs) == len(losses) == len(reference)
+    for job, job_losses, run in zip(jobs, losses, reference):
+        assert job_losses == run.losses  # exact float equality
+        np.testing.assert_array_equal(job.model.theta, run.theta)
+        np.testing.assert_array_equal(job.adam._m, run.m)
+        np.testing.assert_array_equal(job.adam._v, run.v)
+        assert job.adam._t == run.t
 
 
 def check_parity(specs):
-    """Build twin job sets from ``specs``; batched bits must equal solo bits."""
-    batched_jobs = [make_job(*spec[:2], **spec[2]) for spec in specs]
-    sequential_jobs = [make_job(*spec[:2], **spec[2]) for spec in specs]
-    batched_losses = fit_batched(batched_jobs)
-    sequential_losses = run_sequentially(sequential_jobs)
-    assert batched_losses == sequential_losses  # exact float equality
-    assert_jobs_bit_identical(batched_jobs, sequential_jobs)
+    """The stacked kernel at n=len(specs) and at n=1 equals the reference.
+
+    Builds three twin job sets from ``specs``: one trains as a single
+    ``fit_batched`` call, one as a one-job call per spec, one through the
+    autodiff reference.
+    """
+    def build():
+        return [make_job(*spec[:2], **spec[2]) for spec in specs]
+
+    stacked_jobs, lone_jobs, reference_jobs = build(), build(), build()
+    reference = run_reference(reference_jobs)
+    assert_matches_reference(stacked_jobs, fit_batched(stacked_jobs), reference)
+    lone_losses = [fit_batched([job])[0] for job in lone_jobs]
+    assert_matches_reference(lone_jobs, lone_losses, reference)
 
 
 class TestKernelParity:
-    """fit_batched vs N independent FusedMLP.fit calls, bit for bit."""
+    """fit_batched, stacked and one job at a time, vs the autodiff reference."""
 
     def test_uniform_geometry(self):
         check_parity([(seed, 48, {}) for seed in range(4)])
@@ -127,10 +174,13 @@ class TestKernelParity:
         assert losses[1] == []
         np.testing.assert_array_equal(batched_jobs[1].model.theta, before)
         assert batched_jobs[1].adam._t == 0
-        # ... and the trained sibling still matches its solo twin.
-        sequential = make_job(0, 48)
-        assert losses[0] == run_sequentially([sequential])[0]
-        assert_jobs_bit_identical(batched_jobs[:1], [sequential])
+        # ... and the trained sibling still matches the reference.
+        reference = run_reference([make_job(0, 48)])
+        assert_matches_reference(batched_jobs[:1], losses[:1], reference)
+        # A lone zero-epoch job is skipped the same way.
+        lone = make_job(2, 48, epochs=0)
+        assert fit_batched([lone]) == [[]]
+        assert lone.adam._t == 0
 
     def test_mixed_batch_sizes(self):
         check_parity([(0, 48, {"batch_size": 16}), (1, 48, {"batch_size": 11})])
@@ -172,6 +222,25 @@ class TestKernelParity:
         with pytest.raises(ValueError, match="batch_size"):
             fit_batched([bad])
 
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "array, width",
+        [("targets", 1), ("targets", 5), ("inputs", 5), ("inputs", 7)],
+    )
+    def test_feature_width_mismatch_rejected(self, array, width, n_jobs):
+        # The model is 6-in/4-out; a wrong width in the last job must be
+        # named, not surface as an opaque numpy error mid-dispatch.
+        jobs = [make_job(seed, 16, out_features=4) for seed in range(n_jobs)]
+        data = np.random.default_rng(5).normal(size=(16, width))
+        setattr(jobs[-1], array, data)
+        expected = 6 if array == "inputs" else 4
+        with pytest.raises(
+            ValueError,
+            match=rf"job {n_jobs - 1} {array} have {width} columns, "
+            rf"the model expects {expected}",
+        ):
+            fit_batched(jobs)
+
 
 class TestGatherScatter:
     def test_round_trip_preserves_bits(self):
@@ -193,8 +262,10 @@ class TestGatherScatter:
             stacked.gather([model, other])
 
     def test_adam_round_trip_preserves_moments_and_step(self):
-        jobs = [make_job(seed, 24, epochs=3) for seed in range(2)]
-        run_sequentially(jobs)  # advance the moments past zero
+        # Different epoch counts: the seeds end at different step counts.
+        jobs = [make_job(seed, 24, epochs=3 + seed) for seed in range(2)]
+        fit_batched(jobs)  # advance the moments past zero
+        assert jobs[0].adam._t != jobs[1].adam._t
         stacked = BatchedFusedMLP(jobs[0].model, 2)
         stacked.gather([job.model for job in jobs])
         adam = BatchedFusedAdam(stacked, lr=jobs[0].adam.lr)
@@ -266,8 +337,8 @@ class TestCampaignParity:
         assert batched_outcome.batched_kernel_calls > 0
         for seed, record, batched in zip(seeds, batched_records, batched_state):
             (lone_record,), (lone,), lone_outcome = _campaign_lock_state(case, (seed,))
-            # A lone seed's refits never stack: they take the single-job
-            # FusedMLP.fit path inside fit_batched.
+            # A lone seed's refits never stack: each is a one-job
+            # fit_batched dispatch, which batched_kernel_calls excludes.
             assert lone_outcome.batched_kernel_calls == 0
             assert lone_outcome.refit_rounds > 0
             assert record == lone_record

@@ -22,6 +22,7 @@ from repro.analysis import (
     set_contracts,
 )
 from repro.circuits.pvt import nine_corner_grid
+from repro.nn.fused import FusedAdam, FusedFitJob, FusedMLP, _fit_bucket
 from repro.nn.modules import MLP, Linear
 from repro.nn.seeding import DEFAULT_SEED, resolve_rng
 from repro.search import EvaluationCache
@@ -253,6 +254,53 @@ class TestCacheReadOnly:
         cache = EvaluationCache(bad_evaluator, dimension=3, n_metrics=1)
         with pytest.raises((ContractViolation, ValueError)):
             cache.evaluate(np.zeros((1, 3)), nine_corner_grid()[:2])
+
+
+class TestTrainingContract:
+    """The training kernel's contract: a bucket's stacked training arrays
+    agree on seed and row counts and are read-only for the dispatch."""
+
+    @staticmethod
+    def make_bucket(n_seeds=2, rows=12):
+        jobs = []
+        for seed in range(n_seeds):
+            model = FusedMLP(3, (8,), 2, rng=np.random.default_rng(seed))
+            data = np.random.default_rng(10 + seed)
+            jobs.append(
+                FusedFitJob(
+                    model, FusedAdam(model), data.normal(size=(rows, 3)),
+                    data.normal(size=(rows, 2)), epochs=2, batch_size=4,
+                    rng=np.random.default_rng(20 + seed),
+                )
+            )
+        inputs = np.stack([job.inputs for job in jobs])
+        targets = np.stack([job.targets for job in jobs])
+        return jobs, inputs, targets
+
+    def test_row_disagreement_rejected(self, checking):
+        jobs, inputs, targets = self.make_bucket()
+        with pytest.raises(ContractViolation, match="dimension 'n'"):
+            _fit_bucket(jobs, inputs, targets[:, :-1])
+
+    def test_seed_count_disagreement_rejected(self, checking):
+        jobs, inputs, targets = self.make_bucket()
+        with pytest.raises(ContractViolation, match="dimension 's'"):
+            _fit_bucket(jobs[:1], inputs, targets)
+
+    def test_write_to_training_arrays_faults(self, checking):
+        jobs, inputs, targets = self.make_bucket()
+
+        class CorruptingShuffle:
+            """A shuffle stream that writes into the data it shuffles."""
+
+            def permutation(self, count):
+                inputs[0, 0, 0] = 0.0
+                return np.arange(count)
+
+        jobs[0].rng = CorruptingShuffle()
+        with pytest.raises(ValueError, match="read-only"):
+            _fit_bucket(jobs, inputs, targets)
+        assert inputs.flags.writeable and targets.flags.writeable
 
 
 class TestSeeding:

@@ -1,9 +1,10 @@
 """Fused NumPy training kernel: parity with the autodiff reference.
 
 The contract of :mod:`repro.nn.fused` is stronger than "numerically close":
-given the same minibatch stream, the fused kernel produces *bit-identical*
-losses, gradients and post-Adam weights to the Tensor-graph path (autodiff
-:class:`MLP` + :class:`Adam`, kept as the reference implementation).  These
+given the same minibatch stream, the stacked fused kernel produces
+*bit-identical* losses, gradients and post-Adam weights per seed to the
+Tensor-graph path (autodiff :class:`MLP` + :class:`Adam`, kept as the
+reference implementation), whether it trains one seed or several.  These
 tests pin that contract step by step and across the search's refit pattern,
 plus the module round-trips and the model/optimizer checks of
 :func:`train_regressor`.
@@ -13,7 +14,15 @@ import numpy as np
 import pytest
 
 from repro.autodiff import Tensor
-from repro.nn import MLP, Adam, FusedAdam, FusedMLP, train_regressor
+from repro.nn import (
+    MLP,
+    Adam,
+    BatchedFusedAdam,
+    BatchedFusedMLP,
+    FusedAdam,
+    FusedMLP,
+    train_regressor,
+)
 from repro.nn.losses import mse_loss
 
 
@@ -38,47 +47,81 @@ def regression_data(count=96, in_features=4, out_features=3, seed=0):
     return inputs, targets
 
 
+def reference_step(model, adam, batch_x, batch_y):
+    """One autodiff training step; returns (loss, flat gradient)."""
+    adam.zero_grad()
+    loss = mse_loss(model(Tensor(batch_x)), Tensor(batch_y))
+    loss.backward()
+    grad = flat_grads(model)
+    adam.step()
+    return loss.item(), grad
+
+
+class StackedTwin:
+    """The stacked kernel over copies of some fused models' weights."""
+
+    def __init__(self, fused_models, **adam_kwargs):
+        self.model = BatchedFusedMLP(fused_models[0], len(fused_models))
+        self.model.gather(fused_models)
+        self.adam = BatchedFusedAdam(self.model, **adam_kwargs)
+
+    def step(self, batches):
+        """One stacked step over per-seed ``(x, y)`` batches; returns
+        (per-seed losses, a copy of the stacked gradient)."""
+        losses = self.model.loss_and_grad(
+            np.stack([x for x, _ in batches]), np.stack([y for _, y in batches])
+        )
+        grad = self.model._grad.copy()  # the buffer is reused
+        self.adam.step(self.model._grad)
+        return losses, grad
+
+
 class TestPerStepParity:
-    """Identical minibatch order -> identical losses, gradients, weights."""
+    """Identical minibatch order -> identical losses, gradients, weights,
+    for the stacked kernel at one seed and at two."""
 
     @pytest.mark.parametrize("activation", ["tanh", "relu", "sigmoid"])
     def test_loss_grad_and_adam_step_bitwise(self, activation):
-        model, fused = make_pair(activation=activation)
-        adam = Adam(model.parameters(), lr=3e-3)
-        fused_adam = FusedAdam(fused, lr=3e-3)
+        pairs = [make_pair(seed=seed, activation=activation) for seed in (7, 8)]
+        references = [(model, Adam(model.parameters(), lr=3e-3)) for model, _ in pairs]
+        fused = [twin for _, twin in pairs]
+        solo = StackedTwin(fused[:1], lr=3e-3)
+        stacked = StackedTwin(fused, lr=3e-3)
         inputs, targets = regression_data()
         rng = np.random.default_rng(11)
         for _ in range(30):
-            index = rng.permutation(inputs.shape[0])[:32]
-            batch_x, batch_y = inputs[index], targets[index]
-
-            adam.zero_grad()
-            loss = mse_loss(model(Tensor(batch_x)), Tensor(batch_y))
-            loss.backward()
-            reference_grad = flat_grads(model)
-            adam.step()
-
-            fused_loss, fused_grad = fused.loss_and_grad(batch_x, batch_y)
-            fused_grad = fused_grad.copy()  # the buffer is reused
-            fused_adam.step(fused_grad)
-
-            assert loss.item() == fused_loss
-            np.testing.assert_array_equal(reference_grad, fused_grad)
-            np.testing.assert_array_equal(flat_params(model), fused.theta)
+            batches = []
+            for _ in references:
+                index = rng.permutation(inputs.shape[0])[:32]
+                batches.append((inputs[index], targets[index]))
+            expected = [
+                reference_step(model, adam, *batch)
+                for (model, adam), batch in zip(references, batches)
+            ]
+            for twin, count in ((solo, 1), (stacked, 2)):
+                losses, grad = twin.step(batches[:count])
+                assert losses == [loss for loss, _ in expected[:count]]
+                for seed, (model, _) in enumerate(references[:count]):
+                    np.testing.assert_array_equal(grad[seed], expected[seed][1])
+                    np.testing.assert_array_equal(
+                        twin.model.theta[seed], flat_params(model)
+                    )
 
     def test_weight_decay_parity(self):
-        model, fused = make_pair()
-        adam = Adam(model.parameters(), lr=1e-2, weight_decay=1e-3)
-        fused_adam = FusedAdam(fused, lr=1e-2, weight_decay=1e-3)
+        pairs = [make_pair(seed=seed) for seed in (7, 8)]
+        kwargs = {"lr": 1e-2, "weight_decay": 1e-3}
+        references = [(model, Adam(model.parameters(), **kwargs)) for model, _ in pairs]
+        fused = [twin for _, twin in pairs]
+        solo, stacked = StackedTwin(fused[:1], **kwargs), StackedTwin(fused, **kwargs)
         inputs, targets = regression_data(count=32)
         for _ in range(10):
-            adam.zero_grad()
-            loss = mse_loss(model(Tensor(inputs)), Tensor(targets))
-            loss.backward()
-            adam.step()
-            _, grad = fused.loss_and_grad(inputs, targets)
-            fused_adam.step(grad)
-        np.testing.assert_array_equal(flat_params(model), fused.theta)
+            for model, adam in references:
+                reference_step(model, adam, inputs, targets)
+            solo.step([(inputs, targets)])
+            stacked.step([(inputs, targets)] * 2)
+        expected = np.stack([flat_params(model) for model, _ in references])
+        np.testing.assert_array_equal(solo.model.theta, expected[:1])
+        np.testing.assert_array_equal(stacked.model.theta, expected)
 
     def test_train_regressor_backends_identical(self):
         """Full training runs through both paths end at the same weights;

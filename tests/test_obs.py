@@ -406,6 +406,25 @@ class TestBenchTelemetry:
             assert spans[name]["count"] >= 1
             assert spans[name]["seconds"] >= 0.0
 
+    def test_every_refit_dispatch_has_one_kernel_span(self):
+        """Lone (``trust_region.refit``) and stacked
+        (``campaign.refit_batched``) refits both trace the kernel itself."""
+        (case,) = get_suite("drill")
+        with tracing() as tracer:
+            case.build_campaign([0, 1]).run()  # stacked refits
+            case.build_campaign([0]).run()  # lone refits
+        spans = [r for r in tracer.records if r["type"] == "span"]
+        kernel_parents = [r["parent"] for r in spans if r["name"] == "nn.fused_fit"]
+        refits = [
+            r for r in spans
+            if r["name"] in ("campaign.refit_batched", "trust_region.refit")
+        ]
+        assert {r["name"] for r in refits} == {
+            "campaign.refit_batched", "trust_region.refit"
+        }
+        for refit in refits:
+            assert kernel_parents.count(refit["id"]) == 1, refit["name"]
+
     def test_untraced_run_telemetry_is_null(self):
         (case,) = get_suite("tiny")
         assert run_case(case, seeds=[0])["telemetry"] is None
