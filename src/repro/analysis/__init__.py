@@ -17,7 +17,7 @@ invariants surviving refactors.  This package makes them cheap to keep:
   arrays to catch aliasing mutations at the fault site.
 * :mod:`repro.analysis.determinism` — the determinism auditor: run a bench
   suite twice in-process and byte-diff trajectories, metrics and cache
-  content, replacing the per-PR hand-written locks with a reusable gate.
+  content with ``compare_runs``, the one run-vs-run comparator.
 
 CLI: ``python -m repro.analysis lint src`` and
 ``python -m repro.analysis determinism --suite tiny``.

@@ -47,7 +47,17 @@ def _cmd_determinism(args: argparse.Namespace) -> int:
     # Imported lazily: linting must work even where the search stack's
     # dependencies are unavailable.
     from repro.analysis.determinism import audit_suite
+    from repro.bench.registry import available_suites
 
+    if args.seeds < 1:
+        args.parser.error("--seeds must be at least 1")
+    if args.workers < 1:
+        args.parser.error("--workers must be at least 1")
+    if args.suite not in available_suites():
+        args.parser.error(
+            f"unknown bench suite {args.suite!r} "
+            f"(available: {', '.join(available_suites())})"
+        )
     if args.resume_parity and args.execution == "sharded":
         module_logger.error(
             "--resume-parity and --execution sharded are exclusive audit modes"
@@ -157,7 +167,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "(default: contracts on, so violations fault loudly)",
     )
     add_logging_flags(determinism)
-    determinism.set_defaults(func=_cmd_determinism)
+    determinism.set_defaults(func=_cmd_determinism, parser=determinism)
 
     rules = subparsers.add_parser("rules", help="list the registered lint rules")
     add_logging_flags(rules)

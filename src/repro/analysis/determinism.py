@@ -13,7 +13,11 @@ content — every ``(corner, row-key, metric-row)`` triple, bit for bit.
 
 Any nondeterminism anywhere in the stack — an unseeded RNG, dict-ordering
 dependence, an uninitialised buffer read, a mutated cached array — shows up
-as a fingerprint mismatch.  Contracts (``repro.analysis.contracts``) are
+as a fingerprint mismatch.  :func:`compare_runs` is the one comparator: it
+takes two finished runs (a ``CampaignResult`` or a ``ShardRunOutcome``),
+fingerprints both and byte-compares them, optionally excusing named
+fields.  Every auditor mode below and every resilience-drill scenario is
+one call to it.  Contracts (``repro.analysis.contracts``) are
 enabled for the audited runs by default, so shape violations and aliasing
 mutations fault loudly instead of corrupting the comparison.
 
@@ -52,20 +56,26 @@ from repro.analysis.contracts import contracts
 _TIMING_FIELDS = ("refit_seconds", "eval_seconds", "wall_seconds")
 
 
-def fingerprint_outcome(
-    outcome: Any, cache_digest: str, seeds: Sequence[int]
-) -> Dict[str, Any]:
-    """Deterministic fingerprint of a :class:`CampaignResult`.
+def fingerprint_outcome(outcome: Any) -> Dict[str, Any]:
+    """Deterministic fingerprint of a finished run.
 
-    Everything behavioural, nothing timed: per-seed trajectories (with the
-    raw ``best_vector`` bytes hashed), campaign-wide evaluation accounting,
-    and the full cache-content digest.  Shared by the double-run auditor
-    and the resilience drill so "bit-identical" means the same bytes in
-    both gates.  ``resumed_from_round`` is deliberately absent — it is the
-    one field a resumed run legitimately differs on.
+    ``outcome`` is a :class:`~repro.search.campaign.CampaignResult` or a
+    :class:`~repro.shard.ShardRunOutcome`; both carry their seeds and the
+    digest of their cache content.  Everything behavioural, nothing timed:
+    per-seed trajectories (with the raw ``best_vector`` bytes hashed),
+    run-wide evaluation accounting, and the cache-content digest.
+    ``resumed_from_round`` is deliberately absent — it is the one field a
+    resumed run legitimately differs on.  Raises :class:`ValueError` for an
+    outcome without a cache digest (a sharded run that did not collect its
+    cache content), which would otherwise compare ``null == null``.
     """
+    if outcome.cache_digest is None:
+        raise ValueError(
+            "outcome has no cache digest to fingerprint; run the "
+            "ShardedExecutor with collect_cache_content=True"
+        )
     per_seed: List[Dict[str, Any]] = []
-    for seed, result in zip(seeds, outcome.results):
+    for seed, result in zip(outcome.seeds, outcome.results):
         record = result.to_dict()
         for field in _TIMING_FIELDS:
             record.pop(field, None)
@@ -82,27 +92,8 @@ def fingerprint_outcome(
         "cache_misses": outcome.cache_misses,
         "refit_rounds": outcome.refit_rounds,
         "batched_kernel_calls": outcome.batched_kernel_calls,
-        "cache_sha256": cache_digest,
+        "cache_sha256": outcome.cache_digest,
     }
-
-
-def _run_fingerprint(
-    case: Any,
-    seeds: Sequence[int],
-    optimizer: Optional[str],
-    checkpoint_dir: Optional[str] = None,
-    keep_history: bool = False,
-    resume_from: Optional[str] = None,
-) -> Tuple[Dict[str, Any], int]:
-    """Run one bench case once; returns (fingerprint, rounds run)."""
-    campaign = case.build_campaign(seeds, optimizer=optimizer)
-    outcome = campaign.run(
-        checkpoint_dir=checkpoint_dir,
-        keep_history=keep_history,
-        resume_from=resume_from,
-    )
-    digest = campaign.cache.state_digest()
-    return fingerprint_outcome(outcome, digest, seeds), outcome.rounds
 
 
 def _differs(first: Any, second: Any) -> bool:
@@ -137,7 +128,7 @@ def _first_divergence(first: Any, second: Any, path: str = "$") -> str:
     return f"{path}: {first!r} vs {second!r}"
 
 
-def compare_fingerprints(first: Any, second: Any) -> Tuple[bool, str, Optional[str]]:
+def _compare_fingerprints(first: Any, second: Any) -> Tuple[bool, str, Optional[str]]:
     """Byte-compare two fingerprints' canonical JSON encodings.
 
     Returns ``(identical, sha256 of the first encoding, divergence)`` — the
@@ -152,6 +143,28 @@ def compare_fingerprints(first: Any, second: Any) -> Tuple[bool, str, Optional[s
         hashlib.sha256(first_bytes).hexdigest(),
         None if identical else _first_divergence(first, second),
     )
+
+
+def compare_runs(
+    first: Any, second: Any, *, excuse: Sequence[str] = ()
+) -> Tuple[bool, str, Optional[str]]:
+    """Byte-compare two finished runs: the one A/B gate of this repo.
+
+    Fingerprints both outcomes (:func:`fingerprint_outcome`), drops every
+    ``excuse`` field from the top level and from each per-seed record, and
+    compares the canonical JSON bytes.  Returns ``(identical,
+    fingerprint_sha256, divergence)``: the SHA-256 of the first run's
+    encoding and, when the bytes differ, a pointer to the first differing
+    field (e.g. ``$.per_seed[1].best_vector_sha256``), else ``None``.
+    """
+    fingerprints = []
+    for outcome in (first, second):
+        fingerprint = fingerprint_outcome(outcome)
+        for record in (fingerprint, *fingerprint["per_seed"]):
+            for field in excuse:
+                record.pop(field, None)
+        fingerprints.append(fingerprint)
+    return _compare_fingerprints(*fingerprints)
 
 
 @dataclass(frozen=True)
@@ -239,35 +252,26 @@ def audit_case(
         from repro.shard import ShardedExecutor, run_sequential
 
         specs = case.shard_specs(seeds, optimizer=optimizer)
-        sharded = ShardedExecutor(
+        first = ShardedExecutor(
             specs, workers=workers, collect_cache_content=True
         ).run()
-        first = fingerprint_outcome(sharded, sharded.cache_digest, seeds)
         with contracts(with_contracts):
-            oracle = run_sequential(specs)
-        second = fingerprint_outcome(oracle, oracle.cache_digest, seeds)
+            second = run_sequential(specs)
     else:
         with contracts(with_contracts):
             if resume_parity:
                 with tempfile.TemporaryDirectory(prefix="repro-audit-") as ckpt_dir:
-                    first, rounds = _run_fingerprint(
-                        case,
-                        seeds,
-                        optimizer,
-                        checkpoint_dir=ckpt_dir,
-                        keep_history=True,
+                    first = case.build_campaign(seeds, optimizer=optimizer).run(
+                        checkpoint_dir=ckpt_dir, keep_history=True
                     )
-                    mid = max(1, rounds // 2)
-                    second, _ = _run_fingerprint(
-                        case,
-                        seeds,
-                        optimizer,
-                        resume_from=os.path.join(ckpt_dir, f"round-{mid:05d}.snapshot"),
+                    mid = max(1, first.rounds // 2)
+                    second = case.build_campaign(seeds, optimizer=optimizer).run(
+                        resume_from=os.path.join(ckpt_dir, f"round-{mid:05d}.snapshot")
                     )
             else:
-                first, _ = _run_fingerprint(case, seeds, optimizer)
-                second, _ = _run_fingerprint(case, seeds, optimizer)
-    return CaseAudit(case.name, *compare_fingerprints(first, second))
+                first = case.build_campaign(seeds, optimizer=optimizer).run()
+                second = case.build_campaign(seeds, optimizer=optimizer).run()
+    return CaseAudit(case.name, *compare_runs(first, second))
 
 
 def audit_suite(

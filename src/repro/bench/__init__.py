@@ -9,7 +9,9 @@ against.  All seeds of a case run as one multi-seed
 :class:`~repro.search.campaign.Campaign` by default (shared vectorized
 corner passes; ``--execution sharded`` spreads the seeds over worker
 processes).  ``--optimizer`` selects the search strategy; ``--list``
-enumerates everything the registry can run.
+enumerates everything the registry can run.  The harness measures; it
+compares no runs.  Parity at a worker count is
+``python -m repro.analysis determinism --execution sharded --workers N``.
 """
 
 from repro.bench.registry import (

@@ -89,7 +89,7 @@ from __future__ import annotations
 import logging
 import os
 from statistics import median
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.bench.registry import (
     CORNER_SETS,
@@ -200,15 +200,13 @@ def run_case(
     with profiled(
         "bench.run_case", case=case.name, topology=case.topology, tier=case.tier
     ) as wall_timer:
+        cache_path = os.path.join(cache_dir, f"{case.slug}.evc") if cache_dir else None
+        if cache_dir:
+            os.makedirs(cache_dir, exist_ok=True)
+        case_checkpoint = (
+            os.path.join(checkpoint_dir, case.slug) if checkpoint_dir else None
+        )
         if execution == "campaign":
-            cache_path = (
-                os.path.join(cache_dir, f"{case.slug}.evc") if cache_dir else None
-            )
-            if cache_dir:
-                os.makedirs(cache_dir, exist_ok=True)
-            case_checkpoint = (
-                os.path.join(checkpoint_dir, case.slug) if checkpoint_dir else None
-            )
             campaign = case.build_campaign(
                 seeds, optimizer=effective_optimizer, cache_path=cache_path
             )
@@ -234,37 +232,18 @@ def run_case(
                 }
             finally:
                 campaign.close()
-            results = outcome.results
-            eval_block: Dict[str, Any] = {
-                "engine_calls": outcome.engine_calls,
-                "rounds": outcome.rounds,
-                "cache_hits": outcome.cache_hits,
-                "cache_misses": outcome.cache_misses,
-            }
-            eval_seconds = outcome.eval_seconds
-            refit_counts: Dict[str, Any] = {
-                "refit_rounds": outcome.refit_rounds,
-                "batched_kernel_calls": outcome.batched_kernel_calls,
-            }
             shard_block: Optional[Dict[str, Any]] = None
         else:
             # Imported lazily: the bench registry must stay importable
             # without pulling the executor (and its topology imports) in.
             from repro.shard import ShardedExecutor
 
-            cache_path = (
-                os.path.join(cache_dir, f"{case.slug}.evc") if cache_dir else None
-            )
-            if cache_dir:
-                os.makedirs(cache_dir, exist_ok=True)
             specs = case.shard_specs(seeds, optimizer=effective_optimizer)
             executor = ShardedExecutor(
                 specs,
                 workers=workers,
                 cache_path=cache_path,
-                checkpoint_dir=(
-                    os.path.join(checkpoint_dir, case.slug) if checkpoint_dir else None
-                ),
+                checkpoint_dir=case_checkpoint,
                 resume=resume,
                 trace_dir=(
                     os.path.join(worker_trace_dir, case.slug)
@@ -273,18 +252,6 @@ def run_case(
                 ),
             )
             outcome = executor.run()
-            results = outcome.results
-            eval_block = {
-                "engine_calls": outcome.engine_calls,
-                "rounds": outcome.rounds,
-                "cache_hits": outcome.cache_hits,
-                "cache_misses": outcome.cache_misses,
-            }
-            eval_seconds = outcome.eval_seconds
-            refit_counts = {
-                "refit_rounds": outcome.refit_rounds,
-                "batched_kernel_calls": outcome.batched_kernel_calls,
-            }
             resilience = {
                 # Per-shard resume rounds live in the shard block's domain;
                 # the campaign-level field stays None unless every shard
@@ -339,7 +306,10 @@ def run_case(
             }
     wall = wall_timer.seconds
 
-    per_seed = [_per_seed_record(seed, result) for seed, result in zip(seeds, results)]
+    # CampaignResult and ShardRunOutcome share these field names.
+    per_seed = [
+        _per_seed_record(seed, result) for seed, result in zip(seeds, outcome.results)
+    ]
     solved = [record for record in per_seed if record["solved"]]
     return {
         "name": case.name,
@@ -355,13 +325,18 @@ def run_case(
             int(median(record["evaluations"] for record in solved)) if solved else None
         ),
         "refit_seconds": round(sum(r["refit_seconds"] for r in per_seed), 6),
-        "eval_seconds": round(eval_seconds, 6),
+        "eval_seconds": round(outcome.eval_seconds, 6),
         "wall_seconds": round(wall, 6),
-        "eval": eval_block,
+        "eval": {
+            "engine_calls": outcome.engine_calls,
+            "rounds": outcome.rounds,
+            "cache_hits": outcome.cache_hits,
+            "cache_misses": outcome.cache_misses,
+        },
         "refit": {
             "refit_seconds": round(sum(r["refit_seconds"] for r in per_seed), 6),
-            "refit_rounds": refit_counts["refit_rounds"],
-            "batched_kernel_calls": refit_counts["batched_kernel_calls"],
+            "refit_rounds": outcome.refit_rounds,
+            "batched_kernel_calls": outcome.batched_kernel_calls,
         },
         "resilience": resilience,
         "shard": shard_block,
@@ -431,126 +406,6 @@ def write_bench_json(payload: Dict[str, Any], path: str) -> None:
     dies mid-dump.
     """
     atomic_write_json(path, payload)
-
-
-#: Schema of the ``--shard-scaling`` artifact (``BENCH_shard.json``).
-SHARD_CHECK_SCHEMA = "repro.bench.shard/v1"
-
-#: Per-seed fields the shard-scaling parity gate byte-compares across
-#: worker counts: the full search outcome minus wall-clock timing.
-_SHARD_PARITY_KEYS = (
-    "seed",
-    "solved",
-    "evaluations",
-    "phases",
-    "engine_calls",
-    "cache_hits",
-    "cache_misses",
-    "failing_corners",
-    "best_sizing",
-)
-
-
-def shard_scaling(
-    suite: str = "smoke",
-    seeds: int = 16,
-    workers_list: Sequence[int] = (1, 2, 4, 8),
-    output: Optional[str] = None,
-) -> int:
-    """Sharded scaling curve + parity gate; returns a process exit code.
-
-    Runs the whole ``suite`` once per worker count in ``workers_list``
-    (``--execution sharded``) and checks the tentpole guarantee: every
-    (case, seed) outcome must be **bit-identical across worker counts** —
-    same winning sizings, evaluation counts, cache accounting and solved
-    verdicts (the ``workers=1`` run is itself locked to the in-process
-    reference by the determinism auditor's sharded mode).  The wall-time
-    curve and per-count speedups over ``workers=1`` are reported alongside
-    (and written to ``output``, default ``BENCH_shard.json``); the speedup
-    is informational, not gating — it tracks the host's core count
-    (recorded in the artifact as ``host.cpu_count``), and wall-clock
-    ratios flake on shared runners while bits don't.
-    """
-    seed_range = range(seeds)
-    runs: List[Dict[str, Any]] = []
-    for workers in workers_list:
-        payload = run_suite(
-            suite, seeds=seed_range, execution="sharded", workers=workers
-        )
-        runs.append(payload)
-        module_logger.info(
-            "shard-scaling %r workers=%d: %.3fs wall",
-            suite,
-            workers,
-            payload["totals"]["wall_seconds"],
-        )
-    mismatches: List[str] = []
-    baseline = runs[0]
-    for payload, workers in zip(runs[1:], list(workers_list)[1:]):
-        for base_case, case in zip(baseline["cases"], payload["cases"]):
-            for base_seed, seed_record in zip(
-                base_case["per_seed"], case["per_seed"]
-            ):
-                if any(
-                    base_seed[key] != seed_record[key] for key in _SHARD_PARITY_KEYS
-                ):
-                    mismatches.append(
-                        f"{case['name']} seed {seed_record['seed']} "
-                        f"(workers {workers_list[0]} vs {workers})"
-                    )
-    parity = not mismatches
-    for mismatch in mismatches:
-        module_logger.error("shard-scaling diverged: %s", mismatch)
-    base_wall = baseline["totals"]["wall_seconds"]
-    curve = [
-        {
-            "workers": workers,
-            "wall_seconds": payload["totals"]["wall_seconds"],
-            "speedup": (
-                round(base_wall / payload["totals"]["wall_seconds"], 3)
-                if payload["totals"]["wall_seconds"]
-                else None
-            ),
-            "cases": [
-                {
-                    "name": case["name"],
-                    "wall_seconds": case["wall_seconds"],
-                    "success_rate": case["success_rate"],
-                    "shard": case["shard"],
-                }
-                for case in payload["cases"]
-            ],
-        }
-        for workers, payload in zip(workers_list, runs)
-    ]
-    artifact_path = output or "BENCH_shard.json"
-    write_bench_json(
-        {
-            "schema": SHARD_CHECK_SCHEMA,
-            "suite": suite,
-            "seeds": list(seed_range),
-            "workers": list(workers_list),
-            "parity": parity,
-            # Speedup is bounded by the physical cores the run actually
-            # had; recorded so scaling curves from different hosts compare
-            # honestly.
-            "host": {"cpu_count": os.cpu_count() or 1},
-            "scaling": curve,
-        },
-        artifact_path,
-    )
-    module_logger.info("wrote %s", artifact_path)
-    # The verdict is the machine-readable output; it stays on stdout.
-    summary = ", ".join(
-        f"w={entry['workers']}: {entry['wall_seconds']:.2f}s"
-        + (f" ({entry['speedup']:.2f}x)" if entry["speedup"] else "")
-        for entry in curve
-    )
-    print(
-        f"shard-scaling {'PASS' if parity else 'FAIL'} "
-        f"({seeds} seeds, {summary})"
-    )
-    return 0 if parity else 1
 
 
 def format_summary(payload: Dict[str, Any]) -> str:
@@ -666,22 +521,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "to spawned execution)",
     )
     parser.add_argument(
-        "--shard-scaling",
-        action="store_true",
-        help="instead of running the suite once, run it at every "
-        "--workers-list count under --execution sharded and verify "
-        "per-seed bit-parity across worker counts; --seeds sets the fleet "
-        "size (default 16), --output writes the scaling artifact "
-        "(default BENCH_shard.json)",
-    )
-    parser.add_argument(
-        "--workers-list",
-        default="1,2,4,8",
-        metavar="N,N,...",
-        help="comma-separated worker counts for --shard-scaling "
-        "(default: 1,2,4,8)",
-    )
-    parser.add_argument(
         "--trace",
         default=None,
         metavar="PATH",
@@ -722,41 +561,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"unknown bench suite {args.suite!r}\n")
         print(format_listing())
         return 2
-
-    if args.shard_scaling:
-        # Fixed protocol: the suite at every worker count, sharded
-        # execution, each case's own optimizer.
-        dropped = [
-            flag
-            for flag, value in (
-                ("--optimizer", args.optimizer),
-                ("--trace", args.trace),
-                ("--checkpoint-dir", args.checkpoint_dir),
-                ("--cache-dir", args.cache_dir),
-                ("--workers", args.workers),
-            )
-            if value is not None
-        ]
-        if args.fail_under:
-            dropped.append("--fail-under")
-        if args.resume:
-            dropped.append("--resume")
-        if args.execution != "campaign":
-            dropped.append("--execution")
-        if dropped:
-            parser.error(f"--shard-scaling does not accept {', '.join(dropped)}")
-        try:
-            workers_list = [int(item) for item in args.workers_list.split(",")]
-        except ValueError:
-            parser.error("--workers-list must be comma-separated integers")
-        if not workers_list or any(workers < 1 for workers in workers_list):
-            parser.error("--workers-list counts must be at least 1")
-        seeds = 16 if args.seeds is None else args.seeds
-        if seeds < 1:
-            parser.error("--seeds must be at least 1")
-        return shard_scaling(
-            args.suite, seeds=seeds, workers_list=workers_list, output=args.output
-        )
 
     seeds = 3 if args.seeds is None else args.seeds
     if seeds < 1:

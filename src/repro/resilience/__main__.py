@@ -26,13 +26,24 @@ module_logger = logging.getLogger(__name__)
 def _cmd_drill(args: argparse.Namespace) -> int:
     # Imported lazily: the drill pulls in the bench/search stack, which the
     # resilience leaf helpers stay independent of.
+    from repro.bench.registry import available_suites
     from repro.resilience.drill import drill_suite
 
-    occurrences = tuple(
-        int(token) for token in args.occurrences.split(",") if token.strip()
-    )
+    if args.seeds < 1:
+        args.parser.error("--seeds must be at least 1")
+    if args.suite not in available_suites():
+        args.parser.error(
+            f"unknown bench suite {args.suite!r} "
+            f"(available: {', '.join(available_suites())})"
+        )
+    try:
+        occurrences = tuple(
+            int(token) for token in args.occurrences.split(",") if token.strip()
+        )
+    except ValueError:
+        occurrences = ()
     if not occurrences or any(occurrence < 1 for occurrence in occurrences):
-        raise SystemExit("--occurrences must be a comma list of integers >= 1")
+        args.parser.error("--occurrences must be a comma list of integers >= 1")
     module_logger.info(
         "drilling suite %r with %d seed(s), occurrences %s, workdir %s",
         args.suite,
@@ -110,7 +121,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "the in-process fault sites)",
     )
     add_logging_flags(drill)
-    drill.set_defaults(func=_cmd_drill)
+    drill.set_defaults(func=_cmd_drill, parser=drill)
 
     sites = subparsers.add_parser(
         "sites", help="list the registered fault sites"

@@ -1,18 +1,17 @@
 """Kill-and-resume drill: crash a campaign at every fault site, resume, diff.
 
 The drill is the end-to-end proof behind the crash-safety story.  For each
-bench case it first runs an uninterrupted **oracle** campaign and
-fingerprints it (per-seed trajectories, best-vector bytes, evaluation
-accounting, cache-content digest — the same
-:func:`repro.analysis.determinism.fingerprint_outcome` bytes the
-determinism auditor gates on).  Then, for every registered fault site and
+bench case it first runs an uninterrupted **oracle** campaign.  Then,
+for every registered fault site and
 each requested occurrence, it arms a deterministic
 :class:`~repro.resilience.faults.FaultPlan`, runs a campaign with
 checkpointing *and* a persistent evaluation-cache store until the injected
 fault kills it, builds a fresh campaign over the same on-disk state —
 repairing the cache store's torn tail where the fault left one — resumes
 from the latest snapshot, and byte-diffs the finished run against the
-oracle.
+oracle with :func:`repro.analysis.determinism.compare_runs` — per-seed
+trajectories, best-vector bytes, evaluation accounting and cache-content
+digest, the same bytes the determinism auditor gates on.
 
 What "byte-identical" means per scenario:
 
@@ -23,8 +22,8 @@ What "byte-identical" means per scenario:
   cold-starts against the persistent store's surviving pairs — its
   trajectories, best vectors and final cache digest must still match the
   oracle bit for bit, but its hit/miss counters legitimately differ (disk
-  pairs hit where the oracle computed), so those are excluded from the
-  comparison for that scenario only.
+  pairs hit where the oracle computed), so those are the ``excuse``
+  fields of that scenario's comparison only.
 
 A plan whose site is never reached (e.g. ``optimizer.refit`` under a
 surrogate-free optimizer) completes normally and is compared directly —
@@ -42,7 +41,6 @@ their own counters, so even the hit/miss accounting is exact.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -134,29 +132,6 @@ class DrillReport:
         return "\n".join(lines)
 
 
-def _strip_counters(fingerprint: Dict[str, Any]) -> Dict[str, Any]:
-    """The fingerprint minus cache accounting (deep-copied via JSON)."""
-    stripped = json.loads(json.dumps(fingerprint))
-    for field in _COUNTER_FIELDS:
-        stripped.pop(field, None)
-    for record in stripped["per_seed"]:
-        for field in _COUNTER_FIELDS:
-            record.pop(field, None)
-    return stripped
-
-
-def _compare(
-    oracle: Dict[str, Any], resumed: Dict[str, Any], full: bool
-) -> Tuple[bool, Optional[str]]:
-    from repro.analysis.determinism import compare_fingerprints
-
-    left, right = (
-        (oracle, resumed) if full else (_strip_counters(oracle), _strip_counters(resumed))
-    )
-    identical, _, divergence = compare_fingerprints(left, right)
-    return identical, divergence
-
-
 def drill_case(
     case: Any,
     seeds: Sequence[int],
@@ -166,14 +141,10 @@ def drill_case(
     """Run every (site, occurrence) kill-and-resume scenario for one case."""
     # Imported lazily (with the bench/search stack) so repro.resilience's
     # leaf modules stay importable without it.
-    from repro.analysis.determinism import fingerprint_outcome
+    from repro.analysis.determinism import compare_runs
 
     seeds = [int(seed) for seed in seeds]
-    oracle_campaign = case.build_campaign(seeds)
-    oracle_outcome = oracle_campaign.run()
-    oracle = fingerprint_outcome(
-        oracle_outcome, oracle_campaign.cache.state_digest(), seeds
-    )
+    oracle = case.build_campaign(seeds).run()
     outcomes: List[DrillOutcome] = []
     for site in registered_fault_sites():
         for occurrence in occurrences:
@@ -198,18 +169,16 @@ def drill_case(
                 repaired_bytes = resumed.cache.repaired_bytes
                 try:
                     outcome = resumed.run(resume_from=checkpoint_dir)
-                    digest = resumed.cache.state_digest()
                 finally:
                     resumed.close()
-            else:
-                digest = campaign.cache.state_digest()
-            fingerprint = fingerprint_outcome(outcome, digest, seeds)
             # Restoring a snapshot carries the cache content and accounting
             # exactly, so those scenarios must match the oracle in full; a
             # cold-start against the surviving store hits pairs the oracle
             # computed, so only its counters are excused.
-            full = not plan.fired or outcome.resumed_from_round is not None
-            identical, divergence = _compare(oracle, fingerprint, full)
+            cold_start = plan.fired and outcome.resumed_from_round is None
+            identical, _, divergence = compare_runs(
+                oracle, outcome, excuse=_COUNTER_FIELDS if cold_start else ()
+            )
             outcomes.append(
                 DrillOutcome(
                     case=case.name,
@@ -243,7 +212,7 @@ def drill_worker_kill(
     byte-identical **in full** to the in-process sequential oracle,
     counters included, because every shard owns its own campaign state.
     """
-    from repro.analysis.determinism import fingerprint_outcome
+    from repro.analysis.determinism import compare_runs
     from repro.shard import ShardedExecutor, ShardWorkerError, run_sequential
 
     seeds = [int(seed) for seed in seeds]
@@ -252,8 +221,7 @@ def drill_worker_kill(
     while len(seeds) < 2:
         seeds.append(max(seeds) + 1 if seeds else 0)
     specs = case.shard_specs(seeds)
-    oracle_outcome = run_sequential(specs)
-    oracle = fingerprint_outcome(oracle_outcome, oracle_outcome.cache_digest, seeds)
+    oracle = run_sequential(specs)
     outcomes: List[DrillOutcome] = []
     for occurrence in occurrences:
         scenario_dir = os.path.join(
@@ -282,8 +250,7 @@ def drill_worker_kill(
                 resume=True,
                 collect_cache_content=True,
             ).run()
-        fingerprint = fingerprint_outcome(outcome, outcome.cache_digest, seeds)
-        identical, divergence = _compare(oracle, fingerprint, full=True)
+        identical, _, divergence = compare_runs(oracle, outcome)
         outcomes.append(
             DrillOutcome(
                 case=case.name,

@@ -124,6 +124,9 @@ class CampaignResult:
     #: Stacked multi-seed training dispatches (single-job refits don't
     #: count).
     batched_kernel_calls: int = 0
+    #: ``EvaluationCache.state_digest()`` of the finished run's cache, the
+    #: content half of :func:`repro.analysis.determinism.fingerprint_outcome`.
+    cache_digest: Optional[str] = None
 
     @property
     def solved_fraction(self) -> float:
@@ -883,4 +886,5 @@ class Campaign:
             resumed_from_round=resumed_from_round,
             refit_rounds=self.refit_rounds,
             batched_kernel_calls=self.batched_kernel_calls,
+            cache_digest=cache.state_digest(),
         )

@@ -198,7 +198,7 @@ class ShardRunOutcome:
 
     Field names deliberately mirror
     :class:`~repro.search.campaign.CampaignResult` so
-    :func:`repro.analysis.determinism.fingerprint_outcome` applies to both
+    :func:`repro.analysis.determinism.compare_runs` applies to both
     — the campaign-wide counters here are **sums over shards** (the
     sequential oracle's attribution rule; see the module docstring).
     """
@@ -288,7 +288,7 @@ def _run_shard(index: int, spec: ShardSpec, options: Dict[str, Any]) -> Dict[str
             "refit_rounds": outcome.refit_rounds,
             "batched_kernel_calls": outcome.batched_kernel_calls,
             "resumed_from_round": outcome.resumed_from_round,
-            "cache_digest": cache.state_digest(),
+            "cache_digest": outcome.cache_digest,
             "cache_counters": {
                 "preloaded_pairs": cache.preloaded_pairs,
                 "warm_hits": cache.warm_hits,

@@ -5,10 +5,9 @@ from a slogan into a checkable lock:
 
 * :func:`run_sequential` — the in-process oracle: every shard's campaign,
   run one after another in the parent, merged under the same attribution
-  rules as :meth:`~repro.shard.executor.ShardedExecutor.run`.  Feeding
-  both outcomes through
-  :func:`repro.analysis.determinism.fingerprint_outcome` byte-diffs the
-  trajectories, counters and cache digests.
+  rules as :meth:`~repro.shard.executor.ShardedExecutor.run`.
+  :func:`repro.analysis.determinism.compare_runs` on both outcomes
+  byte-diffs the trajectories, counters and cache digests.
 * :func:`union_state_digest` — the cross-process analogue of
   :meth:`~repro.search.eval_cache.EvaluationCache.state_digest`: it merges
   every shard's cache content and hashes it in the digest's canonical
@@ -107,7 +106,7 @@ def run_sequential(specs: Sequence[ShardSpec]) -> ShardRunOutcome:
                     refit_rounds=outcome.refit_rounds,
                     batched_kernel_calls=outcome.batched_kernel_calls,
                     resumed_from_round=outcome.resumed_from_round,
-                    cache_digest=cache.state_digest(),
+                    cache_digest=outcome.cache_digest,
                     wall_seconds=0.0,
                     cache_counters={
                         "preloaded_pairs": cache.preloaded_pairs,

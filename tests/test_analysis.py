@@ -7,12 +7,14 @@ clean on the final ``src/`` tree, and the determinism auditor must byte-diff
 a double-run to zero.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from repro.analysis import (
@@ -401,6 +403,21 @@ class TestCLI:
         for rule_id in available_rules():
             assert rule_id in out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--seeds", "0"], "--seeds must be at least 1"),
+            (["--execution", "sharded", "--workers", "0"], "--workers must be at least 1"),
+            (["--suite", "nosuch"], "unknown bench suite 'nosuch'"),
+        ],
+        ids=["zero-seeds", "zero-workers", "unknown-suite"],
+    )
+    def test_determinism_rejects_bad_input(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            analysis_main(["determinism", *argv])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_module_entry_point(self):
         result = subprocess.run(
             [sys.executable, "-m", "repro.analysis", "rules"],
@@ -423,7 +440,7 @@ class TestDeterminismAuditor:
         assert len(report.fingerprint_sha256) == 64
 
     def test_compare_fingerprints_byte_compares_canonical_json(self):
-        from repro.analysis.determinism import compare_fingerprints
+        from repro.analysis.determinism import _compare_fingerprints
 
         def digest(payload):
             encoded = json.dumps(payload, sort_keys=True).encode("utf-8")
@@ -431,9 +448,9 @@ class TestDeterminismAuditor:
 
         first = {"b": [1, 2], "a": 0.5}
         reordered = {"a": 0.5, "b": [1, 2]}
-        assert compare_fingerprints(first, reordered) == (True, digest(first), None)
+        assert _compare_fingerprints(first, reordered) == (True, digest(first), None)
         # Equal in Python, different bytes: not identical, leaf named.
-        assert compare_fingerprints({"a": 1}, {"a": 1.0}) == (
+        assert _compare_fingerprints({"a": 1}, {"a": 1.0}) == (
             False, digest({"a": 1}), "$.a: type int vs float"
         )
 
@@ -463,3 +480,73 @@ class TestDeterminismAuditor:
         from repro.analysis.determinism import _first_divergence
 
         assert _first_divergence(first, second) == expected
+
+
+@pytest.fixture(scope="module")
+def tiny_runs():
+    """Two independent runs of the same two-seed tiny campaign."""
+    from repro.bench.registry import get_suite
+
+    (case,) = get_suite("tiny")
+    campaign = case.build_campaign([0, 1])
+    first = campaign.run()
+    assert first.cache_digest == campaign.cache.state_digest()
+    return first, case.build_campaign([0, 1]).run()
+
+
+def _canonical_sha256(payload):
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+class TestCompareRuns:
+    """``compare_runs``: the one byte-level A/B gate over two finished runs."""
+
+    def test_identical_runs_compare_identical(self, tiny_runs):
+        from repro.analysis.determinism import compare_runs, fingerprint_outcome
+
+        first, second = tiny_runs
+        assert compare_runs(first, second) == (
+            True,
+            _canonical_sha256(fingerprint_outcome(first)),
+            None,
+        )
+
+    def test_one_ulp_best_vector_change_is_located(self, tiny_runs):
+        from repro.analysis.determinism import compare_runs
+
+        first, second = tiny_runs
+        results = list(second.results)
+        vector = results[1].best_vector.copy()
+        vector[0] = np.nextafter(vector[0], np.inf)
+        results[1] = dataclasses.replace(results[1], best_vector=vector)
+        identical, _, divergence = compare_runs(
+            first, dataclasses.replace(second, results=results)
+        )
+        assert not identical
+        assert divergence.startswith("$.per_seed[1].best_vector_sha256: ")
+
+    def test_excuse_drops_only_the_named_fields_at_both_levels(self, tiny_runs):
+        from repro.analysis.determinism import compare_runs, fingerprint_outcome
+
+        first, second = tiny_runs
+        results = list(second.results)
+        results[1] = dataclasses.replace(
+            results[1], cache_hits=results[1].cache_hits + 1
+        )
+        top = dataclasses.replace(second, cache_hits=second.cache_hits + 1)
+        per_seed = dataclasses.replace(second, results=results)
+        assert compare_runs(first, top)[2].startswith("$.cache_hits: ")
+        assert compare_runs(first, per_seed)[2].startswith("$.per_seed[1].cache_hits: ")
+        for outcome in (top, per_seed):
+            assert compare_runs(first, outcome, excuse=("cache_hits",))[0]
+            assert not compare_runs(
+                first, outcome, excuse=("cache_misses", "engine_calls")
+            )[0]
+        # The hashed bytes lose exactly the excused field, at both levels.
+        expected = fingerprint_outcome(first)
+        del expected["cache_hits"]
+        for record in expected["per_seed"]:
+            del record["cache_hits"]
+        assert compare_runs(first, top, excuse=("cache_hits",))[1] == (
+            _canonical_sha256(expected)
+        )

@@ -12,12 +12,13 @@ refits are one-job dispatches), through checkpoints, and under the
 determinism auditor.
 """
 
+from dataclasses import replace
 from typing import List, NamedTuple
 
 import numpy as np
 import pytest
 
-from repro.analysis.determinism import audit_case, fingerprint_outcome
+from repro.analysis.determinism import audit_case, compare_runs
 from repro.bench.registry import BenchCase, get_suite
 from repro.nn import (
     Adam,
@@ -294,21 +295,25 @@ CAMPAIGN_CASES = [
 ]
 
 
-#: Per-seed counters that depend on which seeds share the evaluation cache,
-#: not on the trajectory: a seed alone computes pairs a co-scheduled seed
-#: would have cached for it.
-_SHARED_CACHE_FIELDS = ("cache_hits", "cache_misses", "engine_calls")
+#: Fields that depend on which seeds share the campaign, not on any one
+#: seed's trajectory: per-seed cache accounting (a seed alone computes pairs
+#: a co-scheduled seed would have cached for it) and every run-wide counter
+#: and the cache digest.
+_SHARED_RUN_FIELDS = (
+    "cache_hits",
+    "cache_misses",
+    "engine_calls",
+    "rounds",
+    "refit_rounds",
+    "batched_kernel_calls",
+    "cache_sha256",
+)
 
 
 def _campaign_lock_state(case, seeds):
-    """Run one case; return (per-seed records, surrogate/Adam state, outcome)."""
+    """Run one case; return (outcome, per-seed surrogate/Adam state)."""
     campaign = case.build_campaign(seeds)
     outcome = campaign.run()
-    fingerprint = fingerprint_outcome(outcome, campaign.cache.state_digest(), seeds)
-    records = fingerprint["per_seed"]
-    for record in records:
-        for field in _SHARED_CACHE_FIELDS:
-            record.pop(field)
     surrogates = []
     for member in campaign._members:
         optimizer = member.optimizer
@@ -321,7 +326,7 @@ def _campaign_lock_state(case, seeds):
                 optimizer.refit_count,
             )
         )
-    return records, surrogates, outcome
+    return outcome, surrogates
 
 
 class TestCampaignParity:
@@ -330,18 +335,24 @@ class TestCampaignParity:
     @pytest.mark.parametrize("case", CAMPAIGN_CASES, ids=lambda c: c.topology)
     def test_trajectory_and_adam_moment_lock(self, case):
         seeds = (0, 1)
-        batched_records, batched_state, batched_outcome = _campaign_lock_state(
-            case, seeds
-        )
+        batched_outcome, batched_state = _campaign_lock_state(case, seeds)
         # Two live seeds sharing one round schedule must actually bucket.
         assert batched_outcome.batched_kernel_calls > 0
-        for seed, record, batched in zip(seeds, batched_records, batched_state):
-            (lone_record,), (lone,), lone_outcome = _campaign_lock_state(case, (seed,))
+        for index, (seed, batched) in enumerate(zip(seeds, batched_state)):
+            lone_outcome, (lone,) = _campaign_lock_state(case, (seed,))
             # A lone seed's refits never stack: each is a one-job
             # fit_batched dispatch, which batched_kernel_calls excludes.
             assert lone_outcome.batched_kernel_calls == 0
             assert lone_outcome.refit_rounds > 0
-            assert record == lone_record
+            batched_seed = replace(
+                batched_outcome,
+                results=[batched_outcome.results[index]],
+                seeds=[seed],
+            )
+            identical, _, divergence = compare_runs(
+                batched_seed, lone_outcome, excuse=_SHARED_RUN_FIELDS
+            )
+            assert identical, divergence
             b_theta, b_m, b_v, b_t, b_refits = batched
             s_theta, s_m, s_v, s_t, s_refits = lone
             np.testing.assert_array_equal(b_theta, s_theta)

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.analysis.determinism import compare_runs
 from repro.bench import (
     SCHEMA,
     BenchCase,
@@ -287,27 +288,26 @@ class TestCampaignExecution:
     def test_campaign_matches_sequential_per_seed(self):
         (case,) = get_suite("tiny")
         seeds = [0, 1, 2]
-        campaign = run_case(case, seeds=seeds, execution="campaign")
+        campaign = case.build_campaign(seeds).run()
         sequential = run_sequential(case.shard_specs(seeds))
-
-        def trajectory(record):
-            # Everything except wall times (noisy) and cache accounting
-            # (the campaign shares one cache across seeds, so per-seed
-            # hit/miss/engine-call splits legitimately differ from the
-            # fresh-cache-per-seed reference).
-            excluded = {
-                "seed",
-                "refit_seconds",
-                "eval_seconds",
+        # Everything but the schedule: the campaign runs its seeds in
+        # lockstep rounds over one shared cache, so the round count, the
+        # refit dispatches and the hit/miss/engine-call split legitimately
+        # differ from the fresh-cache-per-seed reference.  Trajectories,
+        # best-vector bytes and the union cache content must not.
+        identical, _, divergence = compare_runs(
+            campaign,
+            sequential,
+            excuse=(
+                "rounds",
+                "refit_rounds",
+                "batched_kernel_calls",
                 "cache_hits",
                 "cache_misses",
                 "engine_calls",
-            }
-            return {k: v for k, v in record.items() if k not in excluded}
-
-        assert [trajectory(r) for r in campaign["per_seed"]] == [
-            trajectory(result.to_dict()) for result in sequential.results
-        ]
+            ),
+        )
+        assert identical, divergence
 
     def test_campaign_issues_fewer_larger_engine_calls(self):
         (case,) = get_suite("tiny")

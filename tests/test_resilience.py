@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.analysis.determinism import fingerprint_outcome
+from repro.analysis.determinism import compare_runs
 from repro.bench.registry import BenchCase, get_suite
 from repro.bench.runner import run_suite
 from repro.resilience import (
@@ -29,8 +29,9 @@ from repro.resilience.drill import drill_suite
 from repro.search.campaign import LATEST_SNAPSHOT
 
 
-def _campaign_fingerprint(campaign, outcome, seeds):
-    return fingerprint_outcome(outcome, campaign.cache.state_digest(), seeds)
+def assert_same_run(first, second, excuse=()):
+    identical, _, divergence = compare_runs(first, second, excuse=excuse)
+    assert identical, divergence
 
 
 class TestAtomicWrites:
@@ -230,37 +231,29 @@ class TestCheckpointResume:
     def test_resume_is_bit_identical(self, tmp_path, case, optimizer):
         seeds = [0, 1]
         ckpt = str(tmp_path / "ckpt")
-        oracle_campaign = case.build_campaign(seeds, optimizer=optimizer)
-        oracle = _campaign_fingerprint(
-            oracle_campaign,
-            oracle_campaign.run(checkpoint_dir=ckpt, keep_history=True),
-            seeds,
+        oracle = case.build_campaign(seeds, optimizer=optimizer).run(
+            checkpoint_dir=ckpt, keep_history=True
         )
-        rounds = oracle["rounds"]
-        assert rounds >= 2  # otherwise "mid-run" below is meaningless
-        mid = max(1, rounds // 2)
-        resumed_campaign = case.build_campaign(seeds, optimizer=optimizer)
-        outcome = resumed_campaign.run(
+        assert oracle.rounds >= 2  # otherwise "mid-run" below is meaningless
+        mid = max(1, oracle.rounds // 2)
+        resumed = case.build_campaign(seeds, optimizer=optimizer).run(
             resume_from=os.path.join(ckpt, f"round-{mid:05d}.snapshot")
         )
-        assert outcome.resumed_from_round == mid
-        resumed = _campaign_fingerprint(resumed_campaign, outcome, seeds)
+        assert resumed.resumed_from_round == mid
         # Full parity including the hit/miss accounting — snapshot restore
         # carries the cache content and counters exactly.
-        assert resumed == oracle
+        assert_same_run(resumed, oracle)
 
     def test_resume_from_latest_in_directory(self, tmp_path):
         (case,) = get_suite("drill")
         ckpt = str(tmp_path / "ckpt")
-        first = case.build_campaign([0])
-        oracle = _campaign_fingerprint(first, first.run(checkpoint_dir=ckpt), [0])
+        oracle = case.build_campaign([0]).run(checkpoint_dir=ckpt)
         assert os.path.exists(os.path.join(ckpt, LATEST_SNAPSHOT))
-        second = case.build_campaign([0])
-        outcome = second.run(resume_from=ckpt)
+        outcome = case.build_campaign([0]).run(resume_from=ckpt)
         # The latest snapshot is the finished campaign: resume loads it and
         # the run loop immediately agrees it is done.
-        assert outcome.resumed_from_round == oracle["rounds"]
-        assert _campaign_fingerprint(second, outcome, [0]) == oracle
+        assert outcome.resumed_from_round == oracle.rounds
+        assert_same_run(outcome, oracle)
 
     def test_resume_from_missing_path_rejected(self, tmp_path):
         (case,) = get_suite("drill")
@@ -271,17 +264,14 @@ class TestCheckpointResume:
     def test_empty_checkpoint_dir_is_a_cold_start(self, tmp_path):
         (case,) = get_suite("drill")
         ckpt = str(tmp_path / "ckpt")
-        baseline_campaign = case.build_campaign([0])
-        baseline = _campaign_fingerprint(
-            baseline_campaign, baseline_campaign.run(), [0]
-        )
+        baseline = case.build_campaign([0]).run()
         # resume_from pointing at the (empty) checkpoint dir of a run that
         # died before its first checkpoint: legitimate cold start.
         os.makedirs(ckpt)
         campaign = case.build_campaign([0])
         outcome = campaign.run(checkpoint_dir=ckpt, resume_from=ckpt)
         assert outcome.resumed_from_round is None
-        assert _campaign_fingerprint(campaign, outcome, [0]) == baseline
+        assert_same_run(outcome, baseline)
 
     def test_snapshot_identity_mismatch_rejected(self, tmp_path):
         (case,) = get_suite("drill")
@@ -315,27 +305,26 @@ class TestPersistentCampaignCache:
         cache_path = str(tmp_path / "cache.evc")
         cold = case.build_campaign([0], cache_path=cache_path)
         try:
-            cold_fp = _campaign_fingerprint(cold, cold.run(), [0])
+            cold_outcome = cold.run()
         finally:
             cold.close()
-        assert cold_fp["cache_misses"] > 0
+        assert cold_outcome.cache_misses > 0
         warm = case.build_campaign([0], cache_path=cache_path)
         try:
             outcome = warm.run()
-            warm_fp = _campaign_fingerprint(warm, outcome, [0])
         finally:
             warm.close()
         # Every previously computed pair is served from disk...
         assert warm.cache.preloaded_pairs > 0
         assert warm.cache.warm_hits > 0
-        assert warm_fp["cache_misses"] == 0
-        assert warm_fp["engine_calls"] < cold_fp["engine_calls"]
+        assert outcome.cache_misses == 0
+        assert outcome.engine_calls < cold_outcome.engine_calls
         # ...with byte-identical trajectories and final cache content
         # (hit/miss accounting legitimately differs: that is the warm
-        # start working, so it is excluded exactly as in the drill).
-        from repro.resilience.drill import _strip_counters
+        # start working, so it is excused exactly as in the drill).
+        from repro.resilience.drill import _COUNTER_FIELDS
 
-        assert _strip_counters(warm_fp) == _strip_counters(cold_fp)
+        assert_same_run(outcome, cold_outcome, excuse=_COUNTER_FIELDS)
 
 
 class TestDrill:
@@ -350,6 +339,24 @@ class TestDrill:
         assert report.fired_count == len(registered_fault_sites()) + 1
         assert any(o.site == "worker.kill" for o in report.outcomes)
         assert "byte-identical" in report.format()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--seeds", "0"], "--seeds must be at least 1"),
+            (["--suite", "nosuch"], "unknown bench suite 'nosuch'"),
+            (["--occurrences", "0"], "--occurrences must be a comma list"),
+            (["--occurrences", "x"], "--occurrences must be a comma list"),
+        ],
+        ids=["zero-seeds", "unknown-suite", "zero-occurrence", "non-integer"],
+    )
+    def test_cli_drill_rejects_bad_input(self, tmp_path, capsys, argv, message):
+        from repro.resilience.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["drill", "--workdir", str(tmp_path / "drill"), *argv])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_cli_sites_lists_registry(self, capsys):
         from repro.resilience.__main__ import main

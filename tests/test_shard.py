@@ -2,13 +2,12 @@
 
 import dataclasses
 import glob
-import json
 import os
 
 import numpy as np
 import pytest
 
-from repro.analysis.determinism import fingerprint_outcome
+from repro.analysis.determinism import compare_runs
 from repro.bench.registry import get_suite
 from repro.bench.runner import run_suite
 from repro.shard import (
@@ -30,14 +29,12 @@ def tiny_specs():
 @pytest.fixture(scope="module")
 def oracle(tiny_specs):
     """The in-process sequential oracle every parity test diffs against."""
-    outcome = run_sequential(tiny_specs)
-    return outcome, _fingerprint(outcome)
+    return run_sequential(tiny_specs)
 
 
-def _fingerprint(outcome):
-    return json.dumps(
-        fingerprint_outcome(outcome, outcome.cache_digest, SEEDS), sort_keys=True
-    )
+def assert_matches_oracle(outcome, oracle):
+    identical, _, divergence = compare_runs(outcome, oracle)
+    assert identical, divergence
 
 
 class TestShardMap:
@@ -67,20 +64,18 @@ class TestShardMap:
 
 class TestParity:
     def test_inline_fast_path_matches_oracle(self, tiny_specs, oracle):
-        _, oracle_fp = oracle
         outcome = ShardedExecutor(
             tiny_specs, workers=1, collect_cache_content=True
         ).run()
-        assert _fingerprint(outcome) == oracle_fp
+        assert_matches_oracle(outcome, oracle)
         assert [shard.worker for shard in outcome.shards] == [0, 0]
 
     def test_spawned_workers_match_oracle(self, tiny_specs, oracle):
-        oracle_outcome, oracle_fp = oracle
         outcome = ShardedExecutor(
             tiny_specs, workers=2, collect_cache_content=True
         ).run()
-        assert _fingerprint(outcome) == oracle_fp
-        assert outcome.cache_digest == oracle_outcome.cache_digest
+        assert_matches_oracle(outcome, oracle)
+        assert outcome.cache_digest == oracle.cache_digest
         # Placement bookkeeping: the map, the shard records and the
         # per-worker rollup all tell the same story.
         assert outcome.shard_map == {0: 0, 1: 1}
@@ -88,8 +83,18 @@ class TestParity:
         assert [entry["shards"] for entry in outcome.per_worker] == [1, 1]
         # Per-seed counters are exact (each shard is its own single-seed
         # campaign), so campaign-wide sums match the oracle's too.
-        assert outcome.engine_calls == oracle_outcome.engine_calls
-        assert outcome.cache_hits == oracle_outcome.cache_hits
+        assert outcome.engine_calls == oracle.engine_calls
+        assert outcome.cache_hits == oracle.cache_hits
+
+    def test_uncollected_cache_content_is_not_comparable(self, tiny_specs, oracle):
+        # Without collect_cache_content a sharded outcome has no cache
+        # digest; comparing it must fail loudly, not match null == null.
+        outcome = ShardedExecutor(tiny_specs, workers=1).run()
+        assert outcome.cache_digest is None
+        with pytest.raises(ValueError, match="collect_cache_content"):
+            compare_runs(outcome, oracle)
+        with pytest.raises(ValueError, match="collect_cache_content"):
+            compare_runs(outcome, outcome)
 
     def test_bench_runner_sharded_block(self):
         payload = run_suite("tiny", seeds=SEEDS, execution="sharded", workers=1)
@@ -105,7 +110,6 @@ class TestCacheMerge:
     def test_merge_on_close_equivalence(self, tiny_specs, oracle, tmp_path):
         from repro.search.eval_cache import EvaluationCache
 
-        oracle_outcome, _ = oracle
         master = str(tmp_path / "cache.evc")
         cold = ShardedExecutor(
             tiny_specs, workers=2, cache_path=master, collect_cache_content=True
@@ -129,7 +133,7 @@ class TestCacheMerge:
             assert store.state_digest() == cold.cache_digest
         finally:
             store.close()
-        assert cold.cache_digest == oracle_outcome.cache_digest
+        assert cold.cache_digest == oracle.cache_digest
 
         # Warm rerun: every shard preloads the merged master and recomputes
         # nothing, yet lands on the identical digest.
@@ -175,7 +179,6 @@ class TestWorkerFailure:
     def test_sigkilled_worker_resumes_bit_identical(
         self, tiny_specs, oracle, tmp_path
     ):
-        _, oracle_fp = oracle
         checkpoint_dir = str(tmp_path / "checkpoints")
         with pytest.raises(ShardWorkerError) as excinfo:
             ShardedExecutor(
@@ -197,7 +200,7 @@ class TestWorkerFailure:
             resume=True,
             collect_cache_content=True,
         ).run()
-        assert _fingerprint(resumed) == oracle_fp
+        assert_matches_oracle(resumed, oracle)
         # The killed shard restored its round-1 snapshot; the survivor's
         # finished-state snapshot replays as a no-op.
         assert resumed.shards[0].resumed_from_round == 1
