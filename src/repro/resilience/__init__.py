@@ -7,7 +7,9 @@ The package has four pieces:
 * :mod:`repro.resilience.snapshot` — versioned, CRC-checked campaign
   snapshots (:func:`save_snapshot` / :func:`load_snapshot`);
 * :mod:`repro.resilience.store` — the append-only on-disk store behind
-  ``EvaluationCache(persist_path=...)``, with torn-tail repair on reopen;
+  ``EvaluationCache(persist_path=...)``, with torn-tail repair on reopen,
+  and the format of the campaign's cache journal that snapshots point
+  into;
 * :mod:`repro.resilience.faults` — deterministic fault injection at named
   engine sites, driving the kill-and-resume drill
   (``python -m repro.resilience drill``, :mod:`repro.resilience.drill`).

@@ -10,6 +10,16 @@ arrays only.  The envelope makes corruption *detected*, and the write path
 and any bit rot that slips past the filesystem fails the CRC loudly at
 load instead of resuming a silently wrong campaign.
 
+A campaign snapshot does not hold the evaluation cache's content.  The
+cache's pairs live in an append-only journal next to the snapshot
+(``cache-NNNNN.journal``, the :mod:`repro.resilience.store` format), and
+the snapshot's ``cache`` subtree records only the counters and a
+watermark into it: the journal's file name, its record count and its byte
+length at the checkpoint.  A snapshot plus its journal generation is the
+unit of recovery, and the cost of a checkpoint grows with the round's new
+pairs, not with the cache.  Format ``snapshot-v2`` is this layout;
+``snapshot-v1`` files (content pickled inline) are rejected.
+
 Pickle is safe here in the usual caveated sense — snapshots are local
 state produced by the same trusted process that reloads them, not a wire
 format — and the restricted vocabulary (no custom classes in the tree)
@@ -29,7 +39,7 @@ from repro.resilience.atomic import atomic_write_bytes
 #: Envelope magic; the trailing byte is the envelope version.
 MAGIC = b"REPROSNAP\x01"
 #: Payload format tag, checked on load (bump on incompatible tree changes).
-SNAPSHOT_FORMAT = "repro.resilience/snapshot-v1"
+SNAPSHOT_FORMAT = "repro.resilience/snapshot-v2"
 
 _HEADER = struct.Struct("<IQ")  # crc32(payload), len(payload)
 
@@ -38,13 +48,18 @@ class SnapshotError(RuntimeError):
     """A snapshot file is missing, torn, corrupt, or of a foreign format."""
 
 
-def save_snapshot(path: str, state: Any) -> None:
-    """Serialize ``state`` into an integrity-checked snapshot, atomically."""
+def save_snapshot(path: str, state: Any) -> bytes:
+    """Serialize ``state`` into an integrity-checked snapshot, atomically.
+
+    Returns the envelope bytes written, so a caller keeping a second copy
+    (a history snapshot) writes the same bytes instead of encoding again.
+    """
     payload = pickle.dumps(
         {"format": SNAPSHOT_FORMAT, "state": state}, protocol=pickle.HIGHEST_PROTOCOL
     )
     blob = MAGIC + _HEADER.pack(zlib.crc32(payload), len(payload)) + payload
     atomic_write_bytes(path, blob)
+    return blob
 
 
 def load_snapshot(path: str) -> Any:

@@ -23,14 +23,21 @@ construction.  The ``cache.append`` fault site makes that failure mode
 testable on demand: when the armed plan fires there, the store writes a
 genuine half-frame and flushes it before the fault propagates, so the
 drill's resumed process exercises the real repair path, not a simulation.
+
+The same format is the campaign's **cache journal**
+(``<checkpoint_dir>/cache-NNNNN.journal``): a snapshot records only a
+watermark — a record count and a byte offset — into it, and
+:func:`read_prefix` replays exactly the records before that watermark,
+ignoring whatever a later crash left past it.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import struct
 import zlib
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -148,6 +155,35 @@ def read_records(
     return records, size - good_offset
 
 
+def read_prefix(
+    path: str, dimension: int, n_metrics: int, size: int
+) -> List[Tuple[bytes, bytes, np.ndarray]]:
+    """The records in the first ``size`` bytes of a store file.
+
+    Those bytes must be the header followed by whole, intact frames that
+    end exactly at ``size``; anything after ``size`` (later records, a torn
+    tail) is never read.  Raises :class:`StoreError` when the file is
+    shorter than ``size`` or damaged before it.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read(size)
+    if len(data) < size:
+        raise StoreError(f"{path!r} holds {len(data)} bytes, fewer than {size}")
+    if size < HEADER_SIZE:
+        raise StoreError(f"{size} bytes cannot hold the store header of {path!r}")
+    _check_header(path, data[:HEADER_SIZE], int(dimension), int(n_metrics))
+    handle = io.BytesIO(data)
+    handle.seek(HEADER_SIZE)
+    records, good_offset = _scan_frames(
+        handle, int(dimension) * 8, int(n_metrics) * 8, int(n_metrics)
+    )
+    if good_offset != size:
+        raise StoreError(
+            f"{path!r} is damaged at byte {good_offset}, before byte {size}"
+        )
+    return records
+
+
 def merge_stores(
     target_path: str,
     shard_paths: "Sequence[str]",
@@ -202,6 +238,9 @@ class CacheStore:
         replays them in order, so last-write-wins like the appends did).
     repaired_bytes:
         Bytes truncated off a torn tail at open (0 for a clean file).
+    record_count, size:
+        Complete records in the file and its length in bytes, counting
+        every append made through this handle.
     """
 
     def __init__(self, path: str, dimension: int, n_metrics: int) -> None:
@@ -212,7 +251,12 @@ class CacheStore:
         self._n_metrics = int(n_metrics)
         self.records: List[Tuple[bytes, bytes, np.ndarray]] = []
         self.repaired_bytes = 0
+        self.size = HEADER_SIZE
+        self._heads: Dict[bytes, Tuple[bytes, int]] = {}
+        # Encoded frames not yet handed to the file: one write per flush.
+        self._pending: List[bytes] = []
         self._file = self._open()
+        self.record_count = len(self.records)
 
     # -- opening and repair --------------------------------------------
     def _open(self):
@@ -239,6 +283,7 @@ class CacheStore:
             handle.truncate(good_offset)
             self.repaired_bytes = size - good_offset
         handle.seek(good_offset)
+        self.size = good_offset
         return handle
 
     def _header(self) -> bytes:
@@ -257,34 +302,58 @@ class CacheStore:
         return offset
 
     # -- appends --------------------------------------------------------
+    def _frame_head(self, tag: bytes) -> Tuple[bytes, int]:
+        """``(frame bytes before the key, crc32 of the payload's tag part)``.
+
+        Every frame of one corner starts the same way (the payload length
+        is fixed by the workload shape), so this is built once per tag.
+        """
+        tag_part = _TAG_LEN.pack(len(tag)) + tag
+        length = len(tag_part) + self._key_width + self._row_width
+        head = (_FRAME_LEN.pack(length) + tag_part, zlib.crc32(tag_part))
+        self._heads[tag] = head
+        return head
+
     def append(self, tag: bytes, key: bytes, metrics: np.ndarray) -> None:
         """Append one ``(corner tag, row key, metric row)`` record."""
         if self._file is None:
             raise StoreError(f"store {self.path!r} is closed")
         if len(key) != self._key_width:
             raise ValueError(f"key width {len(key)}, expected {self._key_width}")
-        payload = _TAG_LEN.pack(len(tag)) + tag + key + metrics.tobytes()
-        if len(payload) != _TAG_LEN.size + len(tag) + self._key_width + self._row_width:
+        body = key + metrics.tobytes()
+        if len(body) != self._key_width + self._row_width:
             raise ValueError(
                 f"metric row has {metrics.size} values, expected {self._n_metrics}"
             )
-        frame = _FRAME_LEN.pack(len(payload)) + payload + _FRAME_CRC.pack(zlib.crc32(payload))
+        prefix, tag_crc = self._heads.get(tag) or self._frame_head(tag)
+        frame = prefix + body + _FRAME_CRC.pack(zlib.crc32(body, tag_crc))
         try:
             fault_point(SITE_CACHE_APPEND)
         except InjectedFault:
             # Die like a real crash would: half the frame durably on disk.
-            self._file.write(frame[: len(frame) // 2])
-            self._file.flush()
+            self._pending.append(frame[: len(frame) // 2])
+            self.flush()
             raise
-        self._file.write(frame)
+        self._pending.append(frame)
+        self.record_count += 1
+        self.size += len(frame)
 
     def flush(self) -> None:
+        """Hand every appended frame to the operating system."""
         if self._file is not None:
+            if self._pending:
+                self._file.write(b"".join(self._pending))
+                self._pending.clear()
             self._file.flush()
+
+    def sync(self) -> None:
+        """Make every append so far durable: flush, then fsync."""
+        if self._file is not None:
+            self.flush()
+            os.fsync(self._file.fileno())
 
     def close(self) -> None:
         if self._file is not None:
-            self._file.flush()
-            os.fsync(self._file.fileno())
+            self.sync()
             self._file.close()
             self._file = None

@@ -33,6 +33,7 @@ at a fixed seed/config.
 from __future__ import annotations
 
 import os
+import re
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -44,6 +45,7 @@ from repro.circuits.pvt import PVTCondition, nine_corner_grid, rank_by_severity
 from repro.core.design_space import DesignSpace
 from repro.nn.fused import FusedFitJob, fit_batched, fit_job_signature
 from repro.obs import event, profiled
+from repro.resilience.atomic import atomic_write_bytes
 from repro.resilience.faults import fault_point, register_fault_site
 from repro.resilience.snapshot import load_snapshot, save_snapshot
 from repro.search.eval_cache import CornerEvaluator, EvaluationCache
@@ -67,6 +69,21 @@ SITE_SNAPSHOT_WRITE = register_fault_site("snapshot.write")
 
 #: Snapshot filename the resume path looks for in a checkpoint directory.
 LATEST_SNAPSHOT = "latest.snapshot"
+
+#: Cache journal generations in a checkpoint directory: ``cache-NNNNN.journal``.
+_JOURNAL_NAME = re.compile(r"cache-(\d+)\.journal")
+
+
+def _next_journal(checkpoint_dir: str) -> str:
+    """Path of the next, never used, journal generation in ``checkpoint_dir``."""
+    generations = [
+        int(match.group(1))
+        for match in map(_JOURNAL_NAME.fullmatch, os.listdir(checkpoint_dir))
+        if match is not None
+    ]
+    return os.path.join(
+        checkpoint_dir, f"cache-{max(generations, default=0) + 1:05d}.journal"
+    )
 
 
 @dataclass(frozen=True)
@@ -184,6 +201,8 @@ class _ProgressiveMember:
         self.specs = list(specs)
         self.metric_names = list(metric_names)
         self.ranked = list(ranked)
+        # Snapshots refer to corners by rank; built once, not per checkpoint.
+        self._corner_index = {corner: i for i, corner in enumerate(self.ranked)}
         self.config = (
             replace(trust_config, seed=seed) if trust_config.seed != seed else trust_config
         )
@@ -367,7 +386,7 @@ class _ProgressiveMember:
             raise RuntimeError(
                 "member state_dict mid-request; snapshots happen at round boundaries"
             )
-        corner_index = {corner: i for i, corner in enumerate(self.ranked)}
+        corner_index = self._corner_index
         return {
             "seed": self.seed,
             "phase": self.phase,
@@ -540,6 +559,18 @@ class Campaign:
         self.rounds = 0
         self.refit_rounds = 0
         self.batched_kernel_calls = 0
+        # What a snapshot must match to be loaded here (see state_dict);
+        # fixed for the campaign's life, so built once.
+        self._identity = {
+            "seeds": list(self.seeds),
+            "config": repr(self.progressive),
+            "dimension": handle.design_space.dimension,
+            "metric_names": list(handle.metric_names),
+            "corners": [
+                (corner.process, corner.voltage_factor, corner.temperature_c)
+                for corner in self.ranked
+            ],
+        }
 
     def _counters(self) -> Tuple[int, int, int, float]:
         cache = self.cache
@@ -684,6 +715,9 @@ class Campaign:
     def state_dict(self) -> Dict[str, object]:
         """The campaign at a round boundary: identity, members, cache.
 
+        The cache contributes its counters and a watermark into its journal,
+        not its content (see :meth:`EvaluationCache.state_dict`).
+
         The identity block pins everything the snapshot's index-based
         corner references and optimizer states assume about the campaign
         it is loaded into — seeds, optimizer, corner grid, workload shape,
@@ -692,34 +726,20 @@ class Campaign:
         mismatch instead of resuming a silently different search.
         """
         return {
-            "identity": {
-                "seeds": list(self.seeds),
-                "config": repr(self.progressive),
-                "dimension": self.handle.design_space.dimension,
-                "metric_names": list(self.handle.metric_names),
-                "corners": [
-                    (corner.process, corner.voltage_factor, corner.temperature_c)
-                    for corner in self.ranked
-                ],
-            },
+            "identity": self._identity,
             "rounds": self.rounds,
             "refit": (self.refit_rounds, self.batched_kernel_calls),
             "members": [member.state_dict() for member in self._members],
             "cache": self.cache.state_dict(),
         }
 
-    def load_state_dict(self, state: Dict[str, object]) -> None:
+    def load_state_dict(
+        self, state: Dict[str, object], journal_dir: Optional[str] = None
+    ) -> None:
+        """Restore :meth:`state_dict` output; ``journal_dir`` holds the
+        cache journal the state points into (the snapshot's directory)."""
         identity = state["identity"]
-        expected = {
-            "seeds": list(self.seeds),
-            "config": repr(self.progressive),
-            "dimension": self.handle.design_space.dimension,
-            "metric_names": list(self.handle.metric_names),
-            "corners": [
-                (corner.process, corner.voltage_factor, corner.temperature_c)
-                for corner in self.ranked
-            ],
-        }
+        expected = self._identity
         for field in expected:
             if identity.get(field) != expected[field]:
                 raise ValueError(
@@ -730,10 +750,10 @@ class Campaign:
         self.refit_rounds, self.batched_kernel_calls = state.get("refit", (0, 0))
         for member, member_state in zip(self._members, state["members"]):
             member.load_state_dict(member_state)
-        self.cache.load_state_dict(state["cache"])
+        self.cache.load_state_dict(state["cache"], journal_dir)
 
     def close(self) -> None:
-        """Release the persistent cache store, if any."""
+        """Release the persistent cache store and the journal, if any."""
         self.cache.close()
 
     @staticmethod
@@ -753,14 +773,22 @@ class Campaign:
         return resume_from
 
     def _write_checkpoint(self, checkpoint_dir: str, keep_history: bool) -> None:
-        os.makedirs(checkpoint_dir, exist_ok=True)
+        """Make the journal durable, then snapshot a watermark into it.
+
+        A history snapshot is the same envelope bytes as the latest one.
+        """
         fault_point(SITE_SNAPSHOT_WRITE)
-        state = self.state_dict()
-        save_snapshot(os.path.join(checkpoint_dir, LATEST_SNAPSHOT), state)
-        if keep_history:
-            save_snapshot(
-                os.path.join(checkpoint_dir, f"round-{self.rounds:05d}.snapshot"),
-                state,
+        with profiled("resilience.checkpoint", round=self.rounds) as timer:
+            self.cache.sync_journal()
+            state = self.state_dict()
+            blob = save_snapshot(os.path.join(checkpoint_dir, LATEST_SNAPSHOT), state)
+            if keep_history:
+                atomic_write_bytes(
+                    os.path.join(checkpoint_dir, f"round-{self.rounds:05d}.snapshot"),
+                    blob,
+                )
+            timer.annotate(
+                snapshot_bytes=len(blob), journal_records=state["cache"]["records"]
             )
         event("resilience.checkpoint", round=self.rounds, dir=checkpoint_dir)
 
@@ -776,18 +804,26 @@ class Campaign:
         Parameters
         ----------
         checkpoint_dir:
-            When given, a snapshot of the full campaign state is written
+            When given, a snapshot of the campaign state is written
             (atomically) after each eligible round, as
-            ``<dir>/latest.snapshot``.
+            ``<dir>/latest.snapshot``.  The run first starts a new cache
+            journal generation there, ``<dir>/cache-NNNNN.journal``,
+            seeded with the cache's content; every computed pair is then
+            appended to it, and a snapshot records only a watermark into
+            it, so a checkpoint costs the round's new pairs, not the whole
+            cache.  Journals are never truncated or reused, so every
+            snapshot in the directory stays resumable.
         resume_from:
             A snapshot file, or a checkpoint directory whose
-            ``latest.snapshot`` is used.  The campaign state is restored
-            before the first round; the continued run is bit-identical to
-            the uninterrupted one — trajectories, best vectors, cache
-            content *and* cache accounting (locked by the determinism
-            auditor's resume-parity mode and the resilience drill).  A
-            directory without a snapshot (the run died before the first
-            checkpoint) cold-starts.
+            ``latest.snapshot`` is used; its journal must sit next to it.
+            The campaign state is restored before the first round; the
+            continued run is bit-identical to the uninterrupted one —
+            trajectories, best vectors, cache content *and* cache
+            accounting (locked by the determinism auditor's resume-parity
+            mode and the resilience drill).  A directory without a
+            snapshot (the run died before the first checkpoint)
+            cold-starts.  A missing or damaged journal raises
+            :class:`~repro.resilience.snapshot.SnapshotError`.
         checkpoint_every:
             Snapshot cadence in rounds (default: every round).
         keep_history:
@@ -806,11 +842,16 @@ class Campaign:
         if resume_from is not None:
             snapshot_path = self._resolve_snapshot(resume_from)
             if snapshot_path is not None:
-                self.load_state_dict(load_snapshot(snapshot_path))
+                self.load_state_dict(
+                    load_snapshot(snapshot_path),
+                    os.path.dirname(os.path.abspath(snapshot_path)),
+                )
                 resumed_from_round = self.rounds
                 event(
                     "resilience.resume", round=self.rounds, snapshot=snapshot_path
                 )
+        if checkpoint_dir is not None:
+            self.cache.start_journal(_next_journal(checkpoint_dir))
         cache = self.cache
         with profiled(
             "campaign.run",

@@ -29,11 +29,22 @@ touching the engine.  Persisted values are the exact float64 buffers the
 engine produced, so warm hits are bit-identical to recomputation and
 trajectories stay unchanged; only the hit/miss accounting moves, which the
 ``warm_hits``/``cold_hits`` split makes visible.
+
+A checkpointing campaign also gives the cache a **journal**
+(:meth:`EvaluationCache.start_journal`): a store-format file in the
+checkpoint directory, seeded once with the current content and then fed
+every computed pair.  Checkpoints never serialize cache content; a
+snapshot's cache state is the counters plus a watermark into the journal
+(:meth:`~EvaluationCache.state_dict`), and restore replays exactly the
+records before that watermark.  The journal is never a warm source: its
+pairs are this campaign's own, so restoring them leaves the warm/cold
+split as it was.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -42,7 +53,8 @@ from repro.analysis.contracts import ArraySpec, SeqLen, contract
 from repro.circuits.pvt import PVTCondition
 from repro.obs import event, profiled
 from repro.resilience.faults import fault_point, register_fault_site
-from repro.resilience.store import CacheStore, read_records
+from repro.resilience.snapshot import SnapshotError
+from repro.resilience.store import CacheStore, StoreError, read_prefix, read_records
 
 #: A corner evaluator maps ``(count, dim)`` sizings and a corner list to a
 #: ``(n_corners, count, n_metrics)`` metric block.
@@ -129,6 +141,7 @@ class EvaluationCache:
         preload_paths: Sequence[str] = (),
     ) -> None:
         self._evaluate = corner_evaluator
+        self._dimension = int(dimension)
         self._key_width = int(dimension) * np.dtype(np.float64).itemsize
         self.n_metrics = int(n_metrics)
         # One row-key -> metric-row dict per corner.  Keyed by the (frozen,
@@ -148,6 +161,7 @@ class EvaluationCache:
         # process's own engine calls, for the warm/cold hit split.
         self._warm: Dict[PVTCondition, Set[bytes]] = {}
         self._backend: Optional[CacheStore] = None
+        self._journal: Optional[CacheStore] = None
         if persist_path is not None:
             self._backend = CacheStore(persist_path, int(dimension), self.n_metrics)
             self.repaired_bytes = self._backend.repaired_bytes
@@ -166,16 +180,21 @@ class EvaluationCache:
             )
 
     def _ingest(
-        self, records: Sequence[Tuple[bytes, bytes, np.ndarray]]
+        self, records: Sequence[Tuple[bytes, bytes, np.ndarray]], warm: bool = True
     ) -> None:
-        """Warm-load ``(tag, key, row)`` store records, in record order."""
+        """Load ``(tag, key, row)`` store records, in record order.
+
+        ``warm`` marks the pairs as preloaded for the warm/cold hit split;
+        a journal replay passes ``False``.
+        """
         corners_by_tag: Dict[bytes, PVTCondition] = {}
         for tag, key, row in records:
             corner = corners_by_tag.get(tag)
             if corner is None:
                 corner = corners_by_tag.setdefault(tag, _corner_from_tag(tag))
             self._store.setdefault(corner, {})[key] = row
-            self._warm.setdefault(corner, set()).add(key)
+            if warm:
+                self._warm.setdefault(corner, set()).add(key)
 
     def __len__(self) -> int:
         """Total number of cached ``(row, corner)`` pairs."""
@@ -271,7 +290,7 @@ class EvaluationCache:
             for corner_index, store in enumerate(stores):
                 for block_index, row_index in enumerate(fresh):
                     store[keys[row_index]] = block[corner_index, block_index]
-            if self._backend is not None:
+            if self._backend is not None or self._journal is not None:
                 self._persist(keys, corners, fresh, block)
         for row_index in range(count):
             if row_index in fresh_set:
@@ -310,46 +329,71 @@ class EvaluationCache:
         fresh: List[int],
         block: np.ndarray,
     ) -> None:
-        """Append this engine call's pairs to the on-disk store.
+        """Append this engine call's pairs to the store, then the journal.
 
         A fresh row is recomputed at *all* requested corners, so a pair
         already on disk (cached at one corner, missing at another) can be
         re-appended; the loader replays records in order, so the duplicate
-        is harmless — same key, bit-identical value.
+        is harmless — same key, bit-identical value, same dict position.
+        The store is flushed per call (other processes may read it); the
+        journal only at checkpoints (:meth:`sync_journal`).
         """
-        backend = self._backend
-        for corner_index, corner in enumerate(corners):
-            tag = _corner_tag(corner)
-            for block_index, row_index in enumerate(fresh):
-                backend.append(tag, keys[row_index], block[corner_index, block_index])
-        backend.flush()
+        tags = [_corner_tag(corner) for corner in corners]
+        records = [
+            (tag, keys[row_index], block[corner_index, block_index])
+            for corner_index, tag in enumerate(tags)
+            for block_index, row_index in enumerate(fresh)
+        ]
+        if self._backend is not None:
+            for tag, key, row in records:
+                self._backend.append(tag, key, row)
+            self._backend.flush()
+        if self._journal is not None:
+            for tag, key, row in records:
+                self._journal.append(tag, key, row)
 
     def close(self) -> None:
-        """Flush and close the persistent store (no-op without one)."""
-        if self._backend is not None:
-            self._backend.close()
+        """Flush and close the persistent store and the journal, if any."""
+        for log in (self._backend, self._journal):
+            if log is not None:
+                log.close()
 
     # -- checkpoint/resume ---------------------------------------------
-    def state_dict(self) -> Dict[str, object]:
-        """Content and counters, for campaign snapshots.
+    def start_journal(self, path: str) -> None:
+        """Start a new journal generation at ``path``, a file not yet there.
 
-        Corners serialize as their exact field tuples; per corner the keys
-        are kept in insertion order next to a stacked metric matrix, so
-        restore rebuilds not just equal content but the same iteration
-        order the interrupted run had.
+        The journal is seeded with the current content, corner by corner
+        in insertion order, so replaying any prefix that covers the seed
+        rebuilds the same dicts in the same iteration order; from then on
+        every computed pair is appended to it.  A journal this cache
+        already had is closed (it stays on disk for its snapshots).
         """
-        content = []
+        if os.path.exists(path):
+            raise FileExistsError(f"cache journal {path!r} already exists")
+        if self._journal is not None:
+            self._journal.close()
+        journal = CacheStore(path, self._dimension, self.n_metrics)
         for corner, store in self._store.items():
-            corner_keys = list(store)
-            # analysis: allow(hot-loop-alloc) snapshot serialization is cold
-            matrix = np.stack([store[key] for key in corner_keys]) if corner_keys else np.empty((0, self.n_metrics))
-            content.append(
-                (
-                    (corner.process, corner.voltage_factor, corner.temperature_c),
-                    corner_keys,
-                    matrix,
-                )
-            )
+            tag = _corner_tag(corner)
+            for key, row in store.items():
+                journal.append(tag, key, row)
+        journal.flush()
+        self._journal = journal
+
+    def sync_journal(self) -> None:
+        """Flush and fsync the journal, so a snapshot may point into it."""
+        if self._journal is not None:
+            self._journal.sync()
+
+    def state_dict(self) -> Dict[str, object]:
+        """Counters and the journal watermark, for campaign snapshots.
+
+        The content is not serialized: ``journal`` names the journal file
+        (``None`` for a cache that never journaled), and ``records`` /
+        ``bytes`` mark the prefix of it that is this cache's content.
+        Call :meth:`sync_journal` first when the state is written to disk.
+        """
+        journal = self._journal
         return {
             "counters": {
                 "hits": self.hits,
@@ -359,11 +403,24 @@ class EvaluationCache:
                 "engine_calls": self.engine_calls,
                 "eval_seconds": self.eval_seconds,
             },
-            "content": content,
+            "journal": None if journal is None else os.path.basename(journal.path),
+            "records": 0 if journal is None else journal.record_count,
+            "bytes": 0 if journal is None else journal.size,
         }
 
-    def load_state_dict(self, state: Dict[str, object]) -> None:
+    def load_state_dict(
+        self, state: Dict[str, object], journal_dir: Optional[str] = None
+    ) -> None:
         """Restore a snapshot, *replacing* the current content.
+
+        The content is the journal's prefix up to the state's watermark,
+        read from ``journal_dir`` (the snapshot's directory) and replayed
+        in record order, so every corner's dict comes back in the order
+        the interrupted run built it; records past the watermark — pairs
+        computed after the snapshot, a torn tail — are never read.  A
+        state without a journal restores an empty cache.  A missing
+        journal, one shorter than the watermark or one damaged before it
+        raises :class:`~repro.resilience.snapshot.SnapshotError`.
 
         Replacement (not merge) is what makes a resumed campaign
         bit-identical to the uninterrupted oracle including its hit/miss
@@ -374,6 +431,15 @@ class EvaluationCache:
         re-intersected against the restored content so the split's
         invariant (warm keys are a subset of stored keys) survives.
         """
+        records: List[Tuple[bytes, bytes, np.ndarray]] = []
+        if state["journal"] is not None:
+            if journal_dir is None:
+                raise ValueError("restoring a journaled cache needs journal_dir")
+            records = self._read_journal(
+                os.path.join(journal_dir, state["journal"]),
+                state["records"],
+                state["bytes"],
+            )
         counters = state["counters"]
         self.hits = counters["hits"]
         self.misses = counters["misses"]
@@ -382,21 +448,47 @@ class EvaluationCache:
         self.engine_calls = counters["engine_calls"]
         self.eval_seconds = counters["eval_seconds"]
         self._store = {}
-        for fields, corner_keys, matrix in state["content"]:
-            corner = PVTCondition(
-                process=fields[0], voltage_factor=fields[1], temperature_c=fields[2]
-            )
-            # analysis: allow(hot-loop-alloc) snapshot restore is cold
-            block = np.asarray(matrix, dtype=np.float64)
-            block.flags.writeable = False
-            store: Dict[bytes, np.ndarray] = {}
-            for index, key in enumerate(corner_keys):
-                store[key] = block[index]
-            self._store[corner] = store
+        self._ingest(records, warm=False)
         self._warm = {
             corner: {key for key in warm_keys if key in self._store.get(corner, ())}
             for corner, warm_keys in self._warm.items()
         }
+
+    def _read_journal(
+        self, path: str, count: int, size: int
+    ) -> List[Tuple[bytes, bytes, np.ndarray]]:
+        """The first ``count`` records of a journal, ending at byte ``size``."""
+        if not os.path.exists(path):
+            raise SnapshotError(f"cache journal {path!r} does not exist")
+        try:
+            records = read_prefix(path, self._dimension, self.n_metrics, size)
+        except StoreError as error:
+            raise SnapshotError(
+                f"cache journal {path!r} is unusable: {error}"
+            ) from error
+        if len(records) != count:
+            raise SnapshotError(
+                f"cache journal {path!r} holds {len(records)} records before "
+                f"byte {size}, the snapshot expects {count}"
+            )
+        return records
+
+    def content(
+        self,
+    ) -> List[Tuple[Tuple[str, float, float], List[bytes], List[np.ndarray]]]:
+        """Every cached pair: ``(corner fields, keys, metric rows)`` per corner.
+
+        Corners and keys come in insertion order.  Used to compare caches
+        across processes (:func:`repro.shard.parity.union_state_digest`).
+        """
+        return [
+            (
+                (corner.process, corner.voltage_factor, corner.temperature_c),
+                list(store),
+                list(store.values()),
+            )
+            for corner, store in self._store.items()
+        ]
 
     def state_digest(self) -> str:
         """SHA-256 over the full cache content, bit for bit.

@@ -21,16 +21,14 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.shard.executor import ShardResult, ShardRunOutcome, ShardSpec
 
 
 def union_state_digest(contents: Iterable[Sequence[Any]]) -> Optional[str]:
     """SHA-256 over the union of per-shard cache contents, bit for bit.
 
-    ``contents`` holds each shard's ``EvaluationCache.state_dict()["content"]``
-    — ``(corner fields, keys, metric matrix)`` triples.  The union is
+    ``contents`` holds each shard's ``EvaluationCache.content()`` —
+    ``(corner fields, keys, metric rows)`` triples.  The union is
     hashed in exactly the canonical order
     :meth:`~repro.search.eval_cache.EvaluationCache.state_digest` uses
     (corners by exact field encoding, rows by key bytes), so the result
@@ -43,7 +41,7 @@ def union_state_digest(contents: Iterable[Sequence[Any]]) -> Optional[str]:
     saw_content = False
     for content in contents:
         saw_content = True
-        for fields, keys, matrix in content:
+        for fields, keys, metric_rows in content:
             process, voltage_factor, temperature_c = fields
             corner_key = (
                 str(process),
@@ -51,9 +49,8 @@ def union_state_digest(contents: Iterable[Sequence[Any]]) -> Optional[str]:
                 float(temperature_c).hex(),
             )
             rows = merged.setdefault(corner_key, {})
-            matrix = np.asarray(matrix)
-            for position, key in enumerate(keys):
-                row_bytes = matrix[position].tobytes()
+            for key, row in zip(keys, metric_rows):
+                row_bytes = row.tobytes()
                 existing = rows.get(key)
                 if existing is None:
                     rows[key] = row_bytes
@@ -90,7 +87,7 @@ def run_sequential(specs: Sequence[ShardSpec]) -> ShardRunOutcome:
         try:
             outcome = campaign.run()
             cache = campaign.cache
-            content = cache.state_dict()["content"]
+            content = cache.content()
             shards.append(
                 ShardResult(
                     index=index,

@@ -3,6 +3,10 @@ fault injection, checkpoint/resume parity, and the kill-and-resume drill."""
 
 import json
 import os
+import pickle
+import re
+import types
+import zlib
 
 import numpy as np
 import pytest
@@ -25,8 +29,15 @@ from repro.resilience import (
     registered_fault_sites,
     save_snapshot,
 )
-from repro.resilience.drill import drill_suite
+from repro.resilience import snapshot as snapshot_module
+from repro.resilience.drill import drill_case, drill_suite
+from repro.resilience.store import read_prefix
 from repro.search.campaign import LATEST_SNAPSHOT
+
+#: The CI workflow whose resilience job runs the drill.
+CI_WORKFLOW = os.path.join(
+    os.path.dirname(__file__), os.pardir, ".github", "workflows", "ci.yml"
+)
 
 
 def assert_same_run(first, second, excuse=()):
@@ -154,6 +165,24 @@ class TestCacheStore:
         assert reopened.repaired_bytes > 0
         assert len(reopened.records) == 1
         reopened.close()
+
+    def test_read_prefix_stops_at_the_watermark(self, tmp_path):
+        path = str(tmp_path / "cache.journal")
+        store = CacheStore(path, self.DIM, self.METRICS)
+        store.append(*self._record(1.0))
+        store.flush()
+        watermark = store.size
+        store.append(*self._record(2.0))
+        store.close()
+        with open(path, "ab") as handle:
+            handle.write(b"\x2a\x00torn")
+        (record,) = read_prefix(path, self.DIM, self.METRICS, watermark)
+        assert record[1] == self._record(1.0)[1]
+        assert len(read_prefix(path, self.DIM, self.METRICS, store.size)) == 2
+        with pytest.raises(StoreError, match="damaged"):
+            read_prefix(path, self.DIM, self.METRICS, watermark + 1)
+        with pytest.raises(StoreError, match="fewer than"):
+            read_prefix(path, self.DIM, self.METRICS, os.path.getsize(path) + 1)
 
     def test_shape_mismatch_rejected(self, tmp_path):
         path = str(tmp_path / "cache.evc")
@@ -299,6 +328,227 @@ class TestCheckpointResume:
         assert history == expected
 
 
+def _crash_at_checkpoint(case, seeds, occurrence, **run_kwargs):
+    """Run ``case`` until its ``occurrence``-th checkpoint write kills it."""
+    campaign = case.build_campaign(seeds)
+    try:
+        with inject(FaultPlan("snapshot.write", occurrence=occurrence)) as plan:
+            with pytest.raises(InjectedFault):
+                campaign.run(**run_kwargs)
+    finally:
+        campaign.close()
+    assert plan.fired
+
+
+def _finish(case, seeds, **run_kwargs):
+    campaign = case.build_campaign(seeds)
+    try:
+        return campaign.run(**run_kwargs)
+    finally:
+        campaign.close()
+
+
+def _journals(directory):
+    return sorted(name for name in os.listdir(directory) if name.endswith(".journal"))
+
+
+def _leaves(tree):
+    if isinstance(tree, dict):
+        for value in tree.values():
+            yield from _leaves(value)
+    elif isinstance(tree, (list, tuple)):
+        for value in tree:
+            yield from _leaves(value)
+    else:
+        yield tree
+
+
+class TestCacheJournal:
+    """A snapshot points into the cache journal; it never carries pairs."""
+
+    SEEDS = [0]
+
+    @pytest.fixture
+    def drill(self):
+        (case,) = get_suite("drill")
+        return case
+
+    @pytest.fixture
+    def oracle(self, drill):
+        return drill.build_campaign(self.SEEDS).run()
+
+    @pytest.fixture
+    def history(self, tmp_path, drill):
+        """A finished ``keep_history`` run: ``(directory, outcome)``."""
+        ckpt = str(tmp_path / "history")
+        return ckpt, _finish(drill, self.SEEDS, checkpoint_dir=ckpt, keep_history=True)
+
+    def test_snapshot_cache_subtree_is_a_watermark(self, history):
+        ckpt, outcome = history
+        states = [
+            load_snapshot(os.path.join(ckpt, f"round-{r:05d}.snapshot"))["cache"]
+            for r in range(1, outcome.rounds + 1)
+        ]
+        for state in states:
+            assert set(state) == {"counters", "journal", "records", "bytes"}
+            assert state["journal"] == "cache-00001.journal"
+            # No row keys, no metric rows: only names and numbers.
+            assert not any(
+                isinstance(leaf, (bytes, np.ndarray)) for leaf in _leaves(state)
+            )
+        first, last = states[0], states[-1]
+        assert last["records"] > first["records"] > 0
+        assert last["bytes"] == os.path.getsize(os.path.join(ckpt, last["journal"]))
+        # The pickled subtree does not grow with the cache (a few bytes of
+        # wider integer encodings at most), and is a fraction of its pairs.
+        sizes = [len(pickle.dumps(state)) for state in states]
+        assert max(sizes) - min(sizes) <= 16
+        assert 10 * max(sizes) < last["bytes"] - first["bytes"]
+
+    def test_chained_resume_is_byte_identical(self, tmp_path, drill, oracle):
+        first = str(tmp_path / "first")
+        second = str(tmp_path / "second")
+        # Crash, resume into the same directory, crash again.
+        _crash_at_checkpoint(drill, self.SEEDS, 2, checkpoint_dir=first)
+        _crash_at_checkpoint(
+            drill, self.SEEDS, 2, checkpoint_dir=first, resume_from=first
+        )
+        assert _journals(first) == ["cache-00001.journal", "cache-00002.journal"]
+        assert load_snapshot(os.path.join(first, LATEST_SNAPSHOT))["rounds"] == 2
+        # Resume into a different directory, crash there too.
+        _crash_at_checkpoint(
+            drill, self.SEEDS, 2, checkpoint_dir=second, resume_from=first
+        )
+        assert _journals(second) == ["cache-00001.journal"]
+        assert load_snapshot(os.path.join(second, LATEST_SNAPSHOT))["rounds"] == 3
+        # Both directories finish byte-identical to the oracle, counters too.
+        for directory, round_ in ((first, 2), (second, 3)):
+            outcome = _finish(
+                drill, self.SEEDS, checkpoint_dir=directory, resume_from=directory
+            )
+            assert outcome.resumed_from_round == round_
+            assert_same_run(outcome, oracle)
+
+    def test_history_survives_a_crash_resume(self, tmp_path, drill, oracle):
+        ckpt = str(tmp_path / "ckpt")
+        _crash_at_checkpoint(
+            drill, self.SEEDS, 3, checkpoint_dir=ckpt, keep_history=True
+        )
+        finished = _finish(
+            drill,
+            self.SEEDS,
+            checkpoint_dir=ckpt,
+            resume_from=ckpt,
+            keep_history=True,
+        )
+        assert finished.resumed_from_round == 2
+        assert _journals(ckpt) == ["cache-00001.journal", "cache-00002.journal"]
+        journals = set()
+        for round_ in range(1, oracle.rounds + 1):
+            path = os.path.join(ckpt, f"round-{round_:05d}.snapshot")
+            journals.add(load_snapshot(path)["cache"]["journal"])
+            outcome = _finish(drill, self.SEEDS, resume_from=path)
+            assert outcome.resumed_from_round == round_
+            assert_same_run(outcome, oracle)
+        # Rounds 1-2 point into the crashed run's journal, 3+ into the new one.
+        assert journals == {"cache-00001.journal", "cache-00002.journal"}
+
+    def test_torn_journal_tail_past_the_watermark_is_ignored(
+        self, history, drill, oracle
+    ):
+        ckpt, _ = history
+        with open(os.path.join(ckpt, "cache-00001.journal"), "ab") as handle:
+            handle.write(b"\x74\x00\x00\x00half a frame")
+        for source in (os.path.join(ckpt, "round-00002.snapshot"), ckpt):
+            assert_same_run(_finish(drill, self.SEEDS, resume_from=source), oracle)
+
+    def _damage(self, ckpt, how):
+        path = os.path.join(ckpt, "round-00002.snapshot")
+        state = load_snapshot(path)["cache"]
+        journal = os.path.join(ckpt, state["journal"])
+        if how == "missing":
+            os.remove(journal)
+        elif how == "short":
+            with open(journal, "r+b") as handle:
+                handle.truncate(state["bytes"] - 1)
+        elif how == "bitflip":
+            with open(journal, "r+b") as handle:
+                handle.seek(state["bytes"] - 12)
+                byte = handle.read(1)
+                handle.seek(state["bytes"] - 12)
+                handle.write(bytes([byte[0] ^ 0x10]))
+        return path, state["journal"]
+
+    @pytest.mark.parametrize("how", ["missing", "short", "bitflip"])
+    def test_unusable_journal_is_a_snapshot_error(self, history, drill, how):
+        ckpt, _ = history
+        path, journal = self._damage(ckpt, how)
+        campaign = drill.build_campaign(self.SEEDS)
+        with pytest.raises(SnapshotError, match=re.escape(journal)):
+            campaign.run(resume_from=path)
+
+    def test_snapshot_v1_is_a_snapshot_error(self, tmp_path, drill):
+        path = tmp_path / "old.snapshot"
+        payload = pickle.dumps(
+            {"format": "repro.resilience/snapshot-v1", "state": {"cache": {}}}
+        )
+        path.write_bytes(
+            snapshot_module.MAGIC
+            + snapshot_module._HEADER.pack(zlib.crc32(payload), len(payload))
+            + payload
+        )
+        with pytest.raises(SnapshotError, match="old.snapshot.*snapshot-v1"):
+            drill.build_campaign(self.SEEDS).run(resume_from=str(path))
+
+    def test_history_snapshot_is_encoded_once(self, tmp_path, drill, monkeypatch):
+        dumps = []
+
+        def counting_dumps(obj, *args, **kwargs):
+            dumps.append(obj["format"])
+            return pickle.dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(
+            snapshot_module,
+            "pickle",
+            types.SimpleNamespace(
+                dumps=counting_dumps,
+                loads=pickle.loads,
+                HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL,
+            ),
+        )
+        ckpt = str(tmp_path / "ckpt")
+        outcome = _finish(drill, self.SEEDS, checkpoint_dir=ckpt, keep_history=True)
+        assert len(dumps) == outcome.rounds
+        with open(os.path.join(ckpt, LATEST_SNAPSHOT), "rb") as latest, open(
+            os.path.join(ckpt, f"round-{outcome.rounds:05d}.snapshot"), "rb"
+        ) as last:
+            assert latest.read() == last.read()
+
+    def test_checkpoint_is_one_span_with_its_sizes(self, tmp_path, drill, oracle):
+        from repro.obs import tracing
+
+        ckpt = str(tmp_path / "ckpt")
+        with tracing() as tracer:
+            outcome = _finish(drill, self.SEEDS, checkpoint_dir=ckpt)
+        records = [r for r in tracer.records if r["name"] == "resilience.checkpoint"]
+        spans = [r for r in records if r["type"] == "span"]
+        events = [r for r in records if r["type"] == "event"]
+        assert len(spans) == len(events) == outcome.rounds
+        assert [span["tags"]["round"] for span in spans] == list(
+            range(1, outcome.rounds + 1)
+        )
+        assert all(span["dur"] > 0 for span in spans)
+        records_seen = [span["tags"]["journal_records"] for span in spans]
+        assert records_seen == sorted(records_seen) and records_seen[0] > 0
+        last = load_snapshot(os.path.join(ckpt, LATEST_SNAPSHOT))
+        assert spans[-1]["tags"]["journal_records"] == last["cache"]["records"]
+        assert spans[-1]["tags"]["snapshot_bytes"] == os.path.getsize(
+            os.path.join(ckpt, LATEST_SNAPSHOT)
+        )
+        # Tracing stays trajectory-neutral.
+        assert_same_run(outcome, oracle)
+
+
 class TestPersistentCampaignCache:
     def test_cross_process_warm_start_is_bit_identical(self, tmp_path):
         (case,) = get_suite("drill")
@@ -339,6 +589,36 @@ class TestDrill:
         assert report.fired_count == len(registered_fault_sites()) + 1
         assert any(o.site == "worker.kill" for o in report.outcomes)
         assert "byte-identical" in report.format()
+
+    def test_append_fault_after_first_checkpoint_resumes_over_torn_store(
+        self, tmp_path
+    ):
+        (case,) = get_suite("drill")
+        # Counting probe: how many cache.append passes (store and journal)
+        # precede round 1's checkpoint?  The next one is the first append
+        # after a snapshot exists.
+        probe = FaultPlan("snapshot.write", occurrence=1)
+        campaign = case.build_campaign([0], cache_path=str(tmp_path / "probe.evc"))
+        try:
+            with inject(probe), pytest.raises(InjectedFault):
+                campaign.run(checkpoint_dir=str(tmp_path / "probe"))
+        finally:
+            campaign.close()
+        occurrence = probe.counts["cache.append"] + 1
+        outcomes = drill_case(case, [0], (occurrence,), str(tmp_path / "drill"))
+        (outcome,) = [o for o in outcomes if o.site == "cache.append"]
+        assert outcome.fired and outcome.identical, outcome.divergence
+        assert outcome.resumed_from_round == 1
+        assert outcome.repaired_bytes > 0
+        assert "resumed from round 1, repaired" in outcome.format()
+        # CI drills this occurrence next to the defaults.
+        with open(CI_WORKFLOW) as handle:
+            drill_steps = [
+                line for line in handle if "python -m repro.resilience drill" in line
+            ]
+        (step,) = drill_steps
+        listed = re.search(r"--occurrences (\S+)", step).group(1).split(",")
+        assert str(occurrence) in listed
 
     @pytest.mark.parametrize(
         "argv, message",
