@@ -23,11 +23,11 @@ mutations fault loudly instead of corrupting the comparison.
 
 **Resume-parity mode** (``--resume-parity``) swaps the second run for a
 kill-and-resume one: the first run checkpoints every round
-(:meth:`Campaign.run` with ``keep_history=True``), the second starts a
-fresh campaign and resumes it from the mid-run snapshot.  The same
-byte-diff then proves a resumed campaign is bit-identical to the
+(:meth:`Campaign.run` with ``checkpoint_dir``), the second starts a
+fresh campaign and resumes it from the mid-run commit (``resume_round``).
+The same byte-diff then proves a resumed campaign is bit-identical to the
 uninterrupted one — including the cache content digest *and* the hit/miss
-accounting, which snapshot restore carries exactly.
+accounting, which checkpoint restore carries exactly.
 
 **Sharded mode** (``--execution sharded``) swaps both runs: the first is
 a multi-process :class:`~repro.shard.ShardedExecutor` run (``--workers``
@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import tempfile
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -228,7 +227,7 @@ def audit_case(
     """Run one case twice and byte-compare the fingerprints.
 
     With ``resume_parity`` the second run resumes a fresh campaign from
-    the first run's mid-round snapshot instead of starting cold, turning
+    the first run's mid-run commit instead of starting cold, turning
     the same byte-diff into the checkpoint/resume correctness gate.  With
     ``execution="sharded"`` the first run shards the seeds across
     ``workers`` spawned processes and the second is the in-process
@@ -262,11 +261,10 @@ def audit_case(
             if resume_parity:
                 with tempfile.TemporaryDirectory(prefix="repro-audit-") as ckpt_dir:
                     first = case.build_campaign(seeds, optimizer=optimizer).run(
-                        checkpoint_dir=ckpt_dir, keep_history=True
+                        checkpoint_dir=ckpt_dir
                     )
-                    mid = max(1, first.rounds // 2)
                     second = case.build_campaign(seeds, optimizer=optimizer).run(
-                        resume_from=os.path.join(ckpt_dir, f"round-{mid:05d}.snapshot")
+                        resume_from=ckpt_dir, resume_round=max(1, first.rounds // 2)
                     )
             else:
                 first = case.build_campaign(seeds, optimizer=optimizer).run()

@@ -27,7 +27,9 @@ sharded`` — multi-process execution via
 :class:`repro.shard.ShardedExecutor`, bit-identical per seed to the
 in-process reference — and with it a per-case ``shard`` block (``null``
 for in-process executions): the worker count, the deterministic
-seed-to-worker shard map, and per-worker wall/eval seconds.  v7 added the
+seed-to-worker shard map, per-worker wall/eval seconds, and the BLAS
+thread limit the spawned workers got (``blas_threads``; per worker, the
+``OPENBLAS_NUM_THREADS`` it saw).  v7 added the
 surrogate-refit accounting: a per-case ``refit`` block (total
 ``refit_seconds``, the number of lockstep rounds that actually refit, and
 how many stacked multi-seed kernel dispatches ran).  v6 added the per-case ``resilience`` block — the round
@@ -64,11 +66,12 @@ leaves a half-written BENCH JSON:
                                    "preloaded_pairs": 9486,
                                    "warm_hits": 9486, "cold_hits": 27,
                                    "repaired_bytes": 0}},
-          "shard": {"workers": 4,
+          "shard": {"workers": 4, "blas_threads": 1,
                     "shard_map": {"0": 0, "1": 1, "2": 2},
                     "per_worker": [{"worker": 0, "shards": 1,
                                     "wall_seconds": 0.21,
-                                    "eval_seconds": 0.004}]},
+                                    "eval_seconds": 0.004,
+                                    "blas_threads": "1"}]},
           "telemetry": {"spans": {"trust_region.refit":
                                   {"count": 54, "seconds": 0.12}},
                         "events": {"campaign.solved": 3}},
@@ -170,10 +173,10 @@ def run_case(
     processes via :class:`repro.shard.ShardedExecutor`); both are bit-exact
     per seed and differ only in evaluator batching and process placement.
 
-    ``checkpoint_dir`` snapshots under ``<dir>/<case-slug>/`` after every
-    round (sharded: one subdirectory per shard); ``resume=True`` restores
-    from those snapshots first (a resumed run is bit-identical to an
-    uninterrupted one); ``cache_dir`` persists the evaluation cache at
+    ``checkpoint_dir`` commits a checkpoint to a cache journal under
+    ``<dir>/<case-slug>/`` after every round (sharded: one subdirectory
+    per shard); ``resume=True`` restores from the newest commit first (a
+    resumed run is bit-identical to an uninterrupted one); ``cache_dir`` persists the evaluation cache at
     ``<dir>/<case-slug>.evc`` for cross-process warm starts (sharded:
     workers warm-load the master read-only and the parent merges their
     private shard stores back after the run).  ``worker_trace_dir``
@@ -290,6 +293,7 @@ def run_case(
             }
             shard_block = {
                 "workers": outcome.workers,
+                "blas_threads": outcome.blas_threads,
                 "shard_map": {
                     str(specs[index].seed): worker
                     for index, worker in outcome.shard_map.items()
@@ -300,6 +304,7 @@ def run_case(
                         "shards": record["shards"],
                         "wall_seconds": round(record["wall_seconds"], 6),
                         "eval_seconds": round(record["eval_seconds"], 6),
+                        "blas_threads": record["blas_threads"],
                     }
                     for record in outcome.per_worker
                 ],
@@ -532,15 +537,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--checkpoint-dir",
         default=None,
         metavar="DIR",
-        help="snapshot each case's campaign under DIR/<case>/ after every "
+        help="checkpoint each case's campaign under DIR/<case>/ after every "
         "round; a killed run resumes from there "
         "with --resume, bit-identical to an uninterrupted run",
     )
     parser.add_argument(
         "--resume",
         action="store_true",
-        help="restore each case from its --checkpoint-dir snapshot before "
-        "running (cases whose directory has no snapshot yet start cold)",
+        help="restore each case from its --checkpoint-dir checkpoint before "
+        "running (cases whose directory has no checkpoint yet start cold)",
     )
     parser.add_argument(
         "--cache-dir",

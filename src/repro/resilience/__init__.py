@@ -1,15 +1,16 @@
-"""Crash safety for long-lived campaigns: snapshots, persistence, drills.
+"""Crash safety for long-lived campaigns: checkpoints, persistence, drills.
 
 The package has four pieces:
 
 * :mod:`repro.resilience.atomic` — the shared write-temp + fsync +
   ``os.replace`` helper every committed artifact goes through;
-* :mod:`repro.resilience.snapshot` — versioned, CRC-checked campaign
-  snapshots (:func:`save_snapshot` / :func:`load_snapshot`);
+* :mod:`repro.resilience.snapshot` — versioned, CRC-checked snapshot
+  files (:func:`save_snapshot` / :func:`load_snapshot`), the envelope of
+  the sharded executor's per-shard result files;
 * :mod:`repro.resilience.store` — the append-only on-disk store behind
   ``EvaluationCache(persist_path=...)``, with torn-tail repair on reopen,
-  and the format of the campaign's cache journal that snapshots point
-  into;
+  and the campaign's cache journal: the same pair frames plus one commit
+  frame per checkpoint (:func:`~repro.resilience.store.scan_journal`);
 * :mod:`repro.resilience.faults` — deterministic fault injection at named
   engine sites, driving the kill-and-resume drill
   (``python -m repro.resilience drill``, :mod:`repro.resilience.drill`).

@@ -103,7 +103,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default="1,3",
         metavar="LIST",
         help="comma list of site occurrences to kill at; 1 exercises the "
-        "no-snapshot-yet cold restart, later values the snapshot resume "
+        "no-checkpoint-yet cold restart, later values the checkpoint resume "
         "(default: 1,3 — on the drill suite every site fires at both)",
     )
     drill.add_argument(

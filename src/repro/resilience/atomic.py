@@ -42,7 +42,7 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
         except OSError:
             pass
         raise
-    _fsync_directory(directory)
+    fsync_directory(directory)
 
 
 def atomic_write_text(path: str, text: str, encoding: str = "utf-8") -> None:
@@ -68,11 +68,11 @@ def fsync_replace(src: str, dst: str) -> None:
     with open(src, "rb") as handle:
         os.fsync(handle.fileno())
     os.replace(src, dst)
-    _fsync_directory(os.path.dirname(os.path.abspath(dst)) or ".")
+    fsync_directory(os.path.dirname(os.path.abspath(dst)) or ".")
 
 
-def _fsync_directory(directory: str) -> None:
-    """Best-effort fsync of a directory entry (rename durability)."""
+def fsync_directory(directory: str) -> None:
+    """Best-effort fsync of a directory (durable renames and new files)."""
     try:
         fd = os.open(directory, os.O_RDONLY)
     except OSError:

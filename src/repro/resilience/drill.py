@@ -8,8 +8,8 @@ each requested occurrence, it arms a deterministic
 checkpointing *and* a persistent evaluation-cache store until the injected
 fault kills it, builds a fresh campaign over the same on-disk state —
 repairing the cache store's torn tail where the fault left one — resumes
-from the latest snapshot, and byte-diffs the finished run against the
-oracle with :func:`repro.analysis.determinism.compare_runs` — per-seed
+from the newest complete commit in its cache journal, and byte-diffs the
+finished run against the oracle with :func:`repro.analysis.determinism.compare_runs` — per-seed
 trajectories, best-vector bytes, evaluation accounting and cache-content
 digest, the same bytes the determinism auditor gates on.
 
@@ -34,7 +34,7 @@ proof across process boundaries: a sharded run
 (:class:`~repro.shard.ShardedExecutor`) has one worker SIGKILLed — a real
 ``os.kill``, not an exception — right before a checkpoint write, the
 parent surfaces the dead worker's shard identity, and a resumed executor
-continues that shard from its surviving snapshot.  The finished state must
+continues that shard from its last complete commit.  The finished state must
 match the in-process sequential oracle in full: per-shard campaigns keep
 their own counters, so even the hit/miss accounting is exact.
 """
@@ -53,7 +53,7 @@ from repro.resilience.faults import (
 )
 
 #: Counter fields that legitimately differ when a run cold-starts against
-#: a warm persistent store instead of restoring a snapshot.
+#: a warm persistent store instead of restoring a checkpoint.
 _COUNTER_FIELDS = ("engine_calls", "cache_hits", "cache_misses")
 
 
@@ -171,7 +171,7 @@ def drill_case(
                     outcome = resumed.run(resume_from=checkpoint_dir)
                 finally:
                     resumed.close()
-            # Restoring a snapshot carries the cache content and accounting
+            # Restoring a checkpoint carries the cache content and accounting
             # exactly, so those scenarios must match the oracle in full; a
             # cold-start against the surviving store hits pairs the oracle
             # computed, so only its counters are excused.
@@ -203,9 +203,9 @@ def drill_worker_kill(
     """SIGKILL a sharded worker mid-run, resume its shard, diff the result.
 
     For each occurrence ``N`` the scenario arms a kill plan on shard 0:
-    its worker process dies on a real ``SIGKILL`` right before its ``N``-th
-    checkpoint write (so the shard's latest surviving snapshot is round
-    ``N - 1``; at ``N = 1`` the shard cold-restarts).  The parent must
+    its worker process dies on a real ``SIGKILL`` in its ``N``-th
+    checkpoint, with half the commit written (so the shard's last complete
+    commit is round ``N - 1``; at ``N = 1`` the shard cold-restarts).  The parent must
     surface the failure as a :class:`~repro.shard.ShardWorkerError` naming
     the dead worker's unfinished shard, and a second executor with
     ``resume=True`` must finish from the surviving per-shard checkpoints —

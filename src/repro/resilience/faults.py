@@ -3,7 +3,7 @@
 Crash-recovery code is only trustworthy if the crashes it recovers from are
 reproducible.  This module gives the engine *named fault sites* — the
 instrumented points where a real process death would hurt (a cache append
-mid-record, an engine call, a surrogate refit, a snapshot write) — and
+mid-record, an engine call, a surrogate refit, a checkpoint commit) — and
 seeded :class:`FaultPlan`\\ s that kill exactly one site at exactly one
 occurrence, the same one every time for the same seed.
 
@@ -13,11 +13,12 @@ plan is armed: one module-global ``is None`` test.  Arming is scoped with
 the :func:`inject` context manager; the triggered :class:`InjectedFault`
 propagates out of the engine like any crash would, leaving on-disk state
 exactly as a ``kill -9`` at that instant could (the persistent cache store
-even writes a genuine torn half-record first, see
-:mod:`repro.resilience.store`).
+and the cache journal even write a genuine torn half-record or half-commit
+first, see :mod:`repro.resilience.store`).
 
 The drill (``python -m repro.resilience drill``) iterates every registered
-site, interrupts a bench case there, resumes from the latest snapshot, and
+site, interrupts a bench case there, resumes from the last complete
+checkpoint, and
 byte-diffs the resumed trajectory against the uninterrupted oracle.
 """
 

@@ -1,27 +1,23 @@
-"""Versioned, integrity-checked campaign snapshots.
+"""Versioned, integrity-checked snapshot files.
 
-A snapshot is a single file holding one state tree (the nested
-``state_dict()`` of a :class:`~repro.search.campaign.Campaign`): a fixed
-magic + format version, a CRC32 and length of the payload, then the
-payload itself — a :mod:`pickle` of plain builtins, ``bytes`` and NumPy
-arrays only.  The envelope makes corruption *detected*, and the write path
+A snapshot is a single file holding one state tree: a fixed magic +
+format version, a CRC32 and length of the payload, then the payload
+itself — a :mod:`pickle` of plain builtins, ``bytes`` and NumPy arrays
+only.  The envelope makes corruption *detected*, and the write path
 (:func:`repro.resilience.atomic.atomic_write_bytes`) makes torn writes
-*impossible*: a crash mid-checkpoint leaves the previous snapshot intact,
-and any bit rot that slips past the filesystem fails the CRC loudly at
-load instead of resuming a silently wrong campaign.
+*impossible*: a crash mid-write leaves the previous file intact, and any
+bit rot that slips past the filesystem fails the CRC loudly at load.
 
-A campaign snapshot does not hold the evaluation cache's content.  The
-cache's pairs live in an append-only journal next to the snapshot
-(``cache-NNNNN.journal``, the :mod:`repro.resilience.store` format), and
-the snapshot's ``cache`` subtree records only the counters and a
-watermark into it: the journal's file name, its record count and its byte
-length at the checkpoint.  A snapshot plus its journal generation is the
-unit of recovery, and the cost of a checkpoint grows with the round's new
-pairs, not with the cache.  Format ``snapshot-v2`` is this layout;
-``snapshot-v1`` files (content pickled inline) are rejected.
+Its user is the sharded executor: each finished shard's result (and a
+failed worker's error report) travels to the parent as one snapshot file.
+Campaign checkpoints are not snapshots: a checkpoint is one commit record
+in the campaign's cache journal (:mod:`repro.resilience.store`), and a
+checkpoint directory holding ``latest.snapshot`` or ``round-NNNNN.snapshot``
+files from the retired layout is refused on resume with
+:class:`SnapshotError`, as is any ``snapshot-v1`` file.
 
 Pickle is safe here in the usual caveated sense — snapshots are local
-state produced by the same trusted process that reloads them, not a wire
+state produced by the same trusted code that reloads them, not a wire
 format — and the restricted vocabulary (no custom classes in the tree)
 keeps the format stable across refactors of the engine's class layout.
 """
@@ -48,18 +44,13 @@ class SnapshotError(RuntimeError):
     """A snapshot file is missing, torn, corrupt, or of a foreign format."""
 
 
-def save_snapshot(path: str, state: Any) -> bytes:
-    """Serialize ``state`` into an integrity-checked snapshot, atomically.
-
-    Returns the envelope bytes written, so a caller keeping a second copy
-    (a history snapshot) writes the same bytes instead of encoding again.
-    """
+def save_snapshot(path: str, state: Any) -> None:
+    """Serialize ``state`` into an integrity-checked snapshot, atomically."""
     payload = pickle.dumps(
         {"format": SNAPSHOT_FORMAT, "state": state}, protocol=pickle.HIGHEST_PROTOCOL
     )
     blob = MAGIC + _HEADER.pack(zlib.crc32(payload), len(payload)) + payload
     atomic_write_bytes(path, blob)
-    return blob
 
 
 def load_snapshot(path: str) -> Any:

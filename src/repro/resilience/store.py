@@ -25,15 +25,21 @@ genuine half-frame and flushes it before the fault propagates, so the
 drill's resumed process exercises the real repair path, not a simulation.
 
 The same format is the campaign's **cache journal**
-(``<checkpoint_dir>/cache-NNNNN.journal``): a snapshot records only a
-watermark — a record count and a byte offset — into it, and
-:func:`read_prefix` replays exactly the records before that watermark,
-ignoring whatever a later crash left past it.
+(``<checkpoint_dir>/cache-NNNNN.journal``), which adds one more frame
+kind: a **commit**, whose payload starts with a zero tag length (no pair
+has an empty corner tag, so a commit can never be read as a pair).  A
+commit's payload is an opaque byte string the caller encodes — the
+campaign state at a checkpoint — and :meth:`CacheStore.commit` appends
+it after the pending pairs and makes both durable with one fsync.  The
+pairs before a commit are that commit's cache content, so its position
+in the journal is its watermark; :func:`scan_journal` reads the pairs and
+commits up to the first short or CRC-failing frame.  A commit interrupted
+at the ``snapshot.write`` fault site leaves a genuine half-frame, like an
+interrupted pair.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import struct
 import zlib
@@ -41,6 +47,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.resilience.atomic import fsync_directory
 from repro.resilience.faults import InjectedFault, fault_point, register_fault_site
 
 MAGIC = b"REPROEVC\x01"
@@ -56,6 +63,12 @@ _TAG_LEN = struct.Struct("<H")
 HEADER_SIZE = len(MAGIC) + _HEADER_BODY.size + _HEADER_CRC.size
 
 SITE_CACHE_APPEND = register_fault_site("cache.append")
+
+#: Payload prefix of a commit frame: a zero corner-tag length.
+_COMMIT_MARK = _TAG_LEN.pack(0)
+
+#: ``(tag, key, metric row)`` — one cached pair.
+Record = Tuple[bytes, bytes, np.ndarray]
 
 
 class StoreError(RuntimeError):
@@ -85,7 +98,7 @@ def _check_header(path: str, header: bytes, dimension: int, n_metrics: int) -> N
 
 def _parse_payload(
     payload: bytes, key_width: int, row_width: int, n_metrics: int
-) -> "Tuple[bytes, bytes, np.ndarray] | None":
+) -> "Record | None":
     (tag_length,) = _TAG_LEN.unpack(payload[: _TAG_LEN.size])
     key_start = _TAG_LEN.size + tag_length
     row_start = key_start + key_width
@@ -100,16 +113,22 @@ def _parse_payload(
 
 
 def _scan_frames(
-    handle, key_width: int, row_width: int, n_metrics: int
-) -> Tuple[List[Tuple[bytes, bytes, np.ndarray]], int]:
+    handle,
+    key_width: int,
+    row_width: int,
+    n_metrics: int,
+    commits: "List[Tuple[int, bytes]] | None" = None,
+) -> Tuple[List[Record], int]:
     """Read frames (from just past the header) until EOF or damage.
 
     Returns ``(records, good_offset)`` where ``good_offset`` is the file
     offset of the last frame boundary every record before it ends on.
+    With a ``commits`` list, commit frames are collected into it as
+    ``(pairs before the commit, commit payload)``; without one, a commit
+    frame ends the scan like damage (a store never holds one).
     """
-    records: List[Tuple[bytes, bytes, np.ndarray]] = []
+    records: List[Record] = []
     offset = HEADER_SIZE
-    min_payload = _TAG_LEN.size + key_width + row_width
     while True:
         length_bytes = handle.read(_FRAME_LEN.size)
         if len(length_bytes) < _FRAME_LEN.size:
@@ -118,23 +137,28 @@ def _scan_frames(
         payload = handle.read(length)
         crc_bytes = handle.read(_FRAME_CRC.size)
         if (
-            length < min_payload
+            length < _TAG_LEN.size
             or len(payload) < length
             or len(crc_bytes) < _FRAME_CRC.size
             or zlib.crc32(payload) != _FRAME_CRC.unpack(crc_bytes)[0]
         ):
             break  # torn/corrupt frame: everything after it is the tail
-        record = _parse_payload(payload, key_width, row_width, n_metrics)
-        if record is None:
-            break
-        records.append(record)
+        if payload.startswith(_COMMIT_MARK):
+            if commits is None:
+                break
+            commits.append((len(records), payload[_TAG_LEN.size :]))
+        else:
+            record = _parse_payload(payload, key_width, row_width, n_metrics)
+            if record is None:
+                break
+            records.append(record)
         offset += _FRAME_LEN.size + length + _FRAME_CRC.size
     return records, offset
 
 
 def read_records(
     path: str, dimension: int, n_metrics: int
-) -> Tuple[List[Tuple[bytes, bytes, np.ndarray]], int]:
+) -> Tuple[List[Record], int]:
     """Read-only scan of a store file: the good records, without repair.
 
     Unlike constructing a :class:`CacheStore`, nothing is truncated and no
@@ -155,33 +179,29 @@ def read_records(
     return records, size - good_offset
 
 
-def read_prefix(
-    path: str, dimension: int, n_metrics: int, size: int
-) -> List[Tuple[bytes, bytes, np.ndarray]]:
-    """The records in the first ``size`` bytes of a store file.
+def scan_journal(
+    path: str, dimension: int, n_metrics: int
+) -> Tuple[List[Record], List[Tuple[int, bytes]]]:
+    """Read-only scan of a cache journal: its pairs and its commits.
 
-    Those bytes must be the header followed by whole, intact frames that
-    end exactly at ``size``; anything after ``size`` (later records, a torn
-    tail) is never read.  Raises :class:`StoreError` when the file is
-    shorter than ``size`` or damaged before it.
+    Returns ``(records, commits)``: every intact pair in append order, and
+    one ``(pairs before it, payload)`` entry per intact commit.  The scan
+    stops at the first short or CRC-failing frame, so a torn tail (a
+    half-written pair or commit) is never read; a file shorter than its
+    header (a creation that died before the header landed) holds nothing.
+    Raises :class:`StoreError` when the file is not a journal of this
+    shape.
     """
     with open(path, "rb") as handle:
-        data = handle.read(size)
-    if len(data) < size:
-        raise StoreError(f"{path!r} holds {len(data)} bytes, fewer than {size}")
-    if size < HEADER_SIZE:
-        raise StoreError(f"{size} bytes cannot hold the store header of {path!r}")
-    _check_header(path, data[:HEADER_SIZE], int(dimension), int(n_metrics))
-    handle = io.BytesIO(data)
-    handle.seek(HEADER_SIZE)
-    records, good_offset = _scan_frames(
-        handle, int(dimension) * 8, int(n_metrics) * 8, int(n_metrics)
-    )
-    if good_offset != size:
-        raise StoreError(
-            f"{path!r} is damaged at byte {good_offset}, before byte {size}"
+        header = handle.read(HEADER_SIZE)
+        if len(header) < HEADER_SIZE:
+            return [], []
+        _check_header(path, header, int(dimension), int(n_metrics))
+        commits: List[Tuple[int, bytes]] = []
+        records, _ = _scan_frames(
+            handle, int(dimension) * 8, int(n_metrics) * 8, int(n_metrics), commits
         )
-    return records
+    return records, commits
 
 
 def merge_stores(
@@ -239,8 +259,8 @@ class CacheStore:
     repaired_bytes:
         Bytes truncated off a torn tail at open (0 for a clean file).
     record_count, size:
-        Complete records in the file and its length in bytes, counting
-        every append made through this handle.
+        Complete pair records in the file and its length in bytes,
+        counting every append (and commit) made through this handle.
     """
 
     def __init__(self, path: str, dimension: int, n_metrics: int) -> None:
@@ -249,7 +269,7 @@ class CacheStore:
         self._row_width = int(n_metrics) * 8
         self._dimension = int(dimension)
         self._n_metrics = int(n_metrics)
-        self.records: List[Tuple[bytes, bytes, np.ndarray]] = []
+        self.records: List[Record] = []
         self.repaired_bytes = 0
         self.size = HEADER_SIZE
         self._heads: Dict[bytes, Tuple[bytes, int]] = {}
@@ -271,6 +291,7 @@ class CacheStore:
             handle.write(self._header())
             handle.flush()
             os.fsync(handle.fileno())
+            fsync_directory(directory)
             return handle
         handle = open(self.path, "r+b")
         try:
@@ -314,10 +335,14 @@ class CacheStore:
         self._heads[tag] = head
         return head
 
-    def append(self, tag: bytes, key: bytes, metrics: np.ndarray) -> None:
-        """Append one ``(corner tag, row key, metric row)`` record."""
-        if self._file is None:
-            raise StoreError(f"store {self.path!r} is closed")
+    def frame(self, tag: bytes, key: bytes, metrics: np.ndarray) -> bytes:
+        """The on-disk frame of one ``(corner tag, row key, metric row)`` pair.
+
+        The bytes depend only on the workload shape, so a frame built by
+        one log can be appended to another of the same shape.
+        """
+        if not tag:
+            raise ValueError("a pair needs a non-empty corner tag")
         if len(key) != self._key_width:
             raise ValueError(f"key width {len(key)}, expected {self._key_width}")
         body = key + metrics.tobytes()
@@ -326,16 +351,44 @@ class CacheStore:
                 f"metric row has {metrics.size} values, expected {self._n_metrics}"
             )
         prefix, tag_crc = self._heads.get(tag) or self._frame_head(tag)
-        frame = prefix + body + _FRAME_CRC.pack(zlib.crc32(body, tag_crc))
+        return prefix + body + _FRAME_CRC.pack(zlib.crc32(body, tag_crc))
+
+    def append(self, tag: bytes, key: bytes, metrics: np.ndarray) -> None:
+        """Append one ``(corner tag, row key, metric row)`` record."""
+        self.append_frame(self.frame(tag, key, metrics))
+
+    def append_frame(self, frame: bytes) -> None:
+        """Append one pair frame built by :meth:`frame`."""
+        self._append(frame, SITE_CACHE_APPEND)
+        self.record_count += 1
+
+    def commit(self, payload: bytes, fault_site: str) -> int:
+        """Append a commit frame after the pending pairs; one fsync for all.
+
+        Returns the frame's size in bytes.  ``fault_site`` is the drill
+        site the commit passes: when it fires, half the frame reaches the
+        file before the fault propagates, so the previous commit is the
+        last intact one.
+        """
+        body = _COMMIT_MARK + payload
+        frame = (
+            _FRAME_LEN.pack(len(body)) + body + _FRAME_CRC.pack(zlib.crc32(body))
+        )
+        self._append(frame, fault_site)
+        self.sync()
+        return len(frame)
+
+    def _append(self, frame: bytes, fault_site: str) -> None:
+        if self._file is None:
+            raise StoreError(f"store {self.path!r} is closed")
         try:
-            fault_point(SITE_CACHE_APPEND)
+            fault_point(fault_site)
         except InjectedFault:
             # Die like a real crash would: half the frame durably on disk.
             self._pending.append(frame[: len(frame) // 2])
             self.flush()
             raise
         self._pending.append(frame)
-        self.record_count += 1
         self.size += len(frame)
 
     def flush(self) -> None:

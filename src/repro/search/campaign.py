@@ -33,6 +33,7 @@ at a fixed seed/config.
 from __future__ import annotations
 
 import os
+import pickle
 import re
 from collections import OrderedDict
 from dataclasses import dataclass, replace
@@ -45,9 +46,15 @@ from repro.circuits.pvt import PVTCondition, nine_corner_grid, rank_by_severity
 from repro.core.design_space import DesignSpace
 from repro.nn.fused import FusedFitJob, fit_batched, fit_job_signature
 from repro.obs import event, profiled
-from repro.resilience.atomic import atomic_write_bytes
-from repro.resilience.faults import fault_point, register_fault_site
-from repro.resilience.snapshot import load_snapshot, save_snapshot
+from repro.resilience.faults import register_fault_site
+# save_snapshot is unused here but stays bound: perfbench/layers.py
+# patches it by this module's name.
+from repro.resilience.snapshot import (  # noqa: F401
+    SnapshotError,
+    load_snapshot,
+    save_snapshot,
+)
+from repro.resilience.store import Record, StoreError, scan_journal
 from repro.search.eval_cache import CornerEvaluator, EvaluationCache
 from repro.search.optimizer import Optimizer, SearchResult, get_optimizer
 from repro.search.progressive import (
@@ -62,28 +69,111 @@ from repro.search.progressive import (
 from repro.search.spec import Spec, Specification
 from repro.search.trust_region import TrustRegionConfig
 
-#: Kill-and-resume drill site: dying *before* the atomic snapshot write
-#: leaves the previous round's snapshot intact (that, not a half-written
-#: file, is the worst case the atomic writer permits).
+#: Kill-and-resume drill site: a checkpoint dying here leaves half its
+#: commit frame in the journal, so the previous commit is the last intact
+#: one (the worst case a torn append permits).
 SITE_SNAPSHOT_WRITE = register_fault_site("snapshot.write")
 
-#: Snapshot filename the resume path looks for in a checkpoint directory.
-LATEST_SNAPSHOT = "latest.snapshot"
+#: Payload format of a journal commit (checked on resume).
+COMMIT_FORMAT = "repro.resilience/commit-v1"
 
 #: Cache journal generations in a checkpoint directory: ``cache-NNNNN.journal``.
 _JOURNAL_NAME = re.compile(r"cache-(\d+)\.journal")
 
 
-def _next_journal(checkpoint_dir: str) -> str:
-    """Path of the next, never used, journal generation in ``checkpoint_dir``."""
-    generations = [
-        int(match.group(1))
+def _generations(checkpoint_dir: str) -> List[Tuple[int, str]]:
+    """``(generation, path)`` of every journal in ``checkpoint_dir``, oldest first."""
+    return sorted(
+        (int(match.group(1)), os.path.join(checkpoint_dir, match.group(0)))
         for match in map(_JOURNAL_NAME.fullmatch, os.listdir(checkpoint_dir))
         if match is not None
-    ]
-    return os.path.join(
-        checkpoint_dir, f"cache-{max(generations, default=0) + 1:05d}.journal"
     )
+
+
+def _next_journal(checkpoint_dir: str) -> str:
+    """Path of the next, never used, journal generation in ``checkpoint_dir``."""
+    newest = max((gen for gen, _ in _generations(checkpoint_dir)), default=0)
+    return os.path.join(checkpoint_dir, f"cache-{newest + 1:05d}.journal")
+
+
+def _old_layout_error(path: str) -> SnapshotError:
+    """The error for a snapshot file of the retired checkpoint layout."""
+    try:
+        load_snapshot(path)
+        detail = "a campaign snapshot"
+    except SnapshotError as error:
+        detail = str(error)
+    return SnapshotError(
+        f"{path!r} belongs to the old checkpoint layout ({detail}); "
+        "checkpoints are now commits in cache-NNNNN.journal files, "
+        "so it cannot be resumed"
+    )
+
+
+def _replay_commits(
+    path: str, commits: Sequence[Tuple[int, bytes]], resume_round: Optional[int]
+) -> Optional[Tuple[Dict[str, object], int]]:
+    """Rebuild the state of one journal commit from the commits before it.
+
+    The target is the commit of ``resume_round``, or the last one when it
+    is ``None``; returns ``(state tree, pairs before the commit)``, or
+    ``None`` when this journal holds no commit for that round.  The first
+    commit of a generation is its base (it carries the identity block);
+    each later one logs a member's optimizer dataset (``X``/``M``) from
+    row ``rows_from`` on, so a member's dataset is the concatenation of
+    its rows since its last full (``rows_from == 0``) log.
+    """
+    identity = None
+    datasets: Dict[int, Tuple[List[np.ndarray], List[np.ndarray], int]] = {}
+    for number, (pairs, payload) in enumerate(commits, start=1):
+        try:
+            document = pickle.loads(payload)
+        except Exception as error:
+            raise SnapshotError(
+                f"commit {number} of {path!r} does not decode: {error}"
+            ) from error
+        found = document.get("format") if isinstance(document, dict) else None
+        if found != COMMIT_FORMAT:
+            raise SnapshotError(
+                f"commit {number} of {path!r} has format {found!r}, "
+                f"expected {COMMIT_FORMAT!r}"
+            )
+        state = document["state"]
+        if number == 1:
+            identity = state.get("identity")
+            if identity is None:
+                raise SnapshotError(f"the first commit of {path!r} is not a base commit")
+        for index, member in enumerate(state["members"]):
+            optimizer = member["optimizer"]
+            if optimizer is None:
+                continue
+            start = optimizer.pop("rows_from")
+            rows_x, rows_m, count = datasets.get(index, ([], [], 0))
+            if start == 0:
+                rows_x, rows_m, count = [], [], 0
+            elif start != count:
+                raise SnapshotError(
+                    f"commit {number} of {path!r} logs member {index}'s dataset "
+                    f"from row {start}, but the commits before it hold {count} rows"
+                )
+            rows_x.append(optimizer["X"])
+            rows_m.append(optimizer["M"])
+            datasets[index] = (rows_x, rows_m, count + optimizer["X"].shape[0])
+        target = state["rounds"] == resume_round or (
+            resume_round is None and number == len(commits)
+        )
+        if target:
+            for index, member in enumerate(state["members"]):
+                optimizer = member["optimizer"]
+                if optimizer is not None:
+                    rows_x, rows_m, _ = datasets[index]
+                    # analysis: allow(hot-loop-alloc) resume is cold: once per member
+                    optimizer["X"] = np.concatenate(rows_x)
+                    # analysis: allow(hot-loop-alloc) resume is cold: once per member
+                    optimizer["M"] = np.concatenate(rows_m)
+            state["identity"] = identity
+            return state, pairs
+    return None
 
 
 @dataclass(frozen=True)
@@ -559,7 +649,11 @@ class Campaign:
         self.rounds = 0
         self.refit_rounds = 0
         self.batched_kernel_calls = 0
-        # What a snapshot must match to be loaded here (see state_dict);
+        # Per member, ``(optimizer, dataset rows)`` as of the journal
+        # generation's last commit (``None`` before its base commit): the
+        # next commit logs only the rows that optimizer added since.
+        self._logged: Optional[List[Optional[Tuple[Optimizer, int]]]] = None
+        # What a checkpoint must match to be loaded here (see state_dict);
         # fixed for the campaign's life, so built once.
         self._identity = {
             "seeds": list(self.seeds),
@@ -715,10 +809,11 @@ class Campaign:
     def state_dict(self) -> Dict[str, object]:
         """The campaign at a round boundary: identity, members, cache.
 
-        The cache contributes its counters and a watermark into its journal,
-        not its content (see :meth:`EvaluationCache.state_dict`).
+        The cache contributes only its counters; its content is the
+        journal's pairs before the checkpoint's commit (see
+        :meth:`EvaluationCache.state_dict`).
 
-        The identity block pins everything the snapshot's index-based
+        The identity block pins everything the checkpoint's index-based
         corner references and optimizer states assume about the campaign
         it is loaded into — seeds, optimizer, corner grid, workload shape,
         and the full resolved config (via its dataclass ``repr``, which
@@ -734,62 +829,109 @@ class Campaign:
         }
 
     def load_state_dict(
-        self, state: Dict[str, object], journal_dir: Optional[str] = None
+        self, state: Dict[str, object], records: Sequence[Record] = ()
     ) -> None:
-        """Restore :meth:`state_dict` output; ``journal_dir`` holds the
-        cache journal the state points into (the snapshot's directory)."""
+        """Restore :meth:`state_dict` output; ``records`` are the cache
+        journal's pairs before the checkpoint's commit."""
         identity = state["identity"]
         expected = self._identity
         for field in expected:
             if identity.get(field) != expected[field]:
                 raise ValueError(
-                    f"snapshot identity mismatch on {field!r}: snapshot has "
+                    f"checkpoint identity mismatch on {field!r}: checkpoint has "
                     f"{identity.get(field)!r}, this campaign has {expected[field]!r}"
                 )
         self.rounds = state["rounds"]
         self.refit_rounds, self.batched_kernel_calls = state.get("refit", (0, 0))
         for member, member_state in zip(self._members, state["members"]):
             member.load_state_dict(member_state)
-        self.cache.load_state_dict(state["cache"], journal_dir)
+        self.cache.load_state_dict(state["cache"], records)
 
     def close(self) -> None:
         """Release the persistent cache store and the journal, if any."""
         self.cache.close()
 
-    @staticmethod
-    def _resolve_snapshot(resume_from: str) -> Optional[str]:
-        """Map ``resume_from`` to a snapshot file, or ``None`` to cold-start.
+    def _restore(self, resume_from: str, resume_round: Optional[int]) -> Optional[str]:
+        """Load the checkpoint ``resume_from`` names; returns its journal.
 
-        A directory resolves to its ``latest.snapshot`` — missing means no
-        checkpoint was ever completed, which after a very early crash is
-        the legitimate resume answer: start over.  An explicit file path
-        must exist (a typo should not silently cold-start a long campaign).
+        ``resume_from`` is a checkpoint directory.  Its journal generations
+        are scanned newest first, each up to its first torn or damaged
+        frame, and the first that holds the wanted commit — the one of
+        ``resume_round``, or the last complete one — is replayed.  A
+        directory with no complete commit returns ``None`` (cold start)
+        unless a round was asked for.
         """
-        if os.path.isdir(resume_from):
-            path = os.path.join(resume_from, LATEST_SNAPSHOT)
-            return path if os.path.exists(path) else None
-        if not os.path.exists(resume_from):
-            raise FileNotFoundError(f"snapshot {resume_from!r} does not exist")
-        return resume_from
-
-    def _write_checkpoint(self, checkpoint_dir: str, keep_history: bool) -> None:
-        """Make the journal durable, then snapshot a watermark into it.
-
-        A history snapshot is the same envelope bytes as the latest one.
-        """
-        fault_point(SITE_SNAPSHOT_WRITE)
-        with profiled("resilience.checkpoint", round=self.rounds) as timer:
-            self.cache.sync_journal()
-            state = self.state_dict()
-            blob = save_snapshot(os.path.join(checkpoint_dir, LATEST_SNAPSHOT), state)
-            if keep_history:
-                atomic_write_bytes(
-                    os.path.join(checkpoint_dir, f"round-{self.rounds:05d}.snapshot"),
-                    blob,
+        if not os.path.isdir(resume_from):
+            if not os.path.exists(resume_from):
+                raise FileNotFoundError(
+                    f"checkpoint directory {resume_from!r} does not exist"
                 )
-            timer.annotate(
-                snapshot_bytes=len(blob), journal_records=state["cache"]["records"]
-            )
+            raise _old_layout_error(resume_from)
+        for name in sorted(os.listdir(resume_from)):
+            if name.endswith(".snapshot"):
+                raise _old_layout_error(os.path.join(resume_from, name))
+        dimension = self.handle.design_space.dimension
+        scanned = []
+        for _, path in reversed(_generations(resume_from)):
+            try:
+                records, commits = scan_journal(path, dimension, self.cache.n_metrics)
+            except StoreError as error:
+                raise SnapshotError(
+                    f"cache journal {path!r} is unusable: {error}"
+                ) from error
+            scanned.append(f"{os.path.basename(path)} ({len(commits)} commits)")
+            found = _replay_commits(path, commits, resume_round) if commits else None
+            if found is not None:
+                state, pairs = found
+                self.load_state_dict(state, records[:pairs])
+                return path
+        if resume_round is None:
+            return None
+        raise SnapshotError(
+            f"round {resume_round} has no complete commit in {resume_from!r}; "
+            f"scanned: {', '.join(scanned) or 'no cache journal'}"
+        )
+
+    def _commit_payload(self) -> Tuple[bytes, List[Optional[Tuple[Optimizer, int]]]]:
+        """The checkpoint's commit: :meth:`state_dict`, delta-encoded.
+
+        A generation's base commit carries the identity block and every
+        member's full optimizer dataset.  Later commits drop the identity,
+        and a member whose optimizer is the one logged at the previous
+        commit logs only the ``X``/``M`` rows added since (``rows_from``
+        marks where they start); a new optimizer (a new phase) logs its
+        full dataset.  Returns the payload and the new logged positions.
+        """
+        state = self.state_dict()
+        previous = self._logged
+        if previous is None:
+            previous = [None] * len(self._members)
+        else:
+            del state["identity"]
+        logged: List[Optional[Tuple[Optimizer, int]]] = []
+        for member, member_state, last in zip(self._members, state["members"], previous):
+            optimizer = member_state["optimizer"]
+            if optimizer is None:
+                logged.append(None)
+                continue
+            start = last[1] if last is not None and last[0] is member.optimizer else 0
+            rows = optimizer["X"].shape[0]
+            optimizer["X"] = optimizer["X"][start:]
+            optimizer["M"] = optimizer["M"][start:]
+            optimizer["rows_from"] = start
+            logged.append((member.optimizer, rows))
+        payload = pickle.dumps(
+            {"format": COMMIT_FORMAT, "state": state}, protocol=pickle.HIGHEST_PROTOCOL
+        )
+        return payload, logged
+
+    def _write_checkpoint(self, checkpoint_dir: str) -> None:
+        """Append this round's commit to the journal: one write, one fsync."""
+        with profiled("resilience.checkpoint", round=self.rounds) as timer:
+            payload, logged = self._commit_payload()
+            size = self.cache.commit(payload, SITE_SNAPSHOT_WRITE)
+            self._logged = logged
+            timer.annotate(commit_bytes=size, journal_records=self.cache.journal_records)
         event("resilience.checkpoint", round=self.rounds, dir=checkpoint_dir)
 
     def run(
@@ -797,61 +939,59 @@ class Campaign:
         checkpoint_dir: Optional[str] = None,
         resume_from: Optional[str] = None,
         checkpoint_every: int = 1,
-        keep_history: bool = False,
+        resume_round: Optional[int] = None,
     ) -> CampaignResult:
         """Run all seeds to completion in lockstep evaluation rounds.
 
         Parameters
         ----------
         checkpoint_dir:
-            When given, a snapshot of the campaign state is written
-            (atomically) after each eligible round, as
-            ``<dir>/latest.snapshot``.  The run first starts a new cache
-            journal generation there, ``<dir>/cache-NNNNN.journal``,
-            seeded with the cache's content; every computed pair is then
-            appended to it, and a snapshot records only a watermark into
-            it, so a checkpoint costs the round's new pairs, not the whole
-            cache.  Journals are never truncated or reused, so every
-            snapshot in the directory stays resumable.
+            When given, the run starts a new cache journal generation
+            there, ``<dir>/cache-NNNNN.journal``, seeded with the cache's
+            content; every computed pair is then appended to it, and each
+            eligible round ends with a checkpoint: one commit record (the
+            campaign state, with only the optimizer-dataset rows added
+            since the previous commit) appended after the round's pairs
+            and made durable, together with them, by one fsync.  The
+            directory holds nothing else.  Journals are never truncated or
+            reused, so every commit in the directory stays resumable.
         resume_from:
-            A snapshot file, or a checkpoint directory whose
-            ``latest.snapshot`` is used; its journal must sit next to it.
-            The campaign state is restored before the first round; the
-            continued run is bit-identical to the uninterrupted one —
-            trajectories, best vectors, cache content *and* cache
-            accounting (locked by the determinism auditor's resume-parity
-            mode and the resilience drill).  A directory without a
-            snapshot (the run died before the first checkpoint)
-            cold-starts.  A missing or damaged journal raises
+            A checkpoint directory.  The campaign state of its newest
+            complete commit (see ``resume_round``) is restored before the
+            first round; the continued run is bit-identical to the
+            uninterrupted one — trajectories, best vectors, cache content
+            *and* cache accounting (locked by the determinism auditor's
+            resume-parity mode and the resilience drill).  A directory
+            without a complete commit (the run died before its first
+            checkpoint) cold-starts.  An unusable journal, or a directory
+            of the old layout (``*.snapshot`` files), raises
             :class:`~repro.resilience.snapshot.SnapshotError`.
         checkpoint_every:
-            Snapshot cadence in rounds (default: every round).
-        keep_history:
-            Also keep one ``round-NNNNN.snapshot`` per checkpoint instead
-            of only the latest (used by resume-parity audits).
+            Checkpoint cadence in rounds (default: every round).
+        resume_round:
+            Resume from the commit of this round instead of the newest
+            (used by resume-parity audits); a round without a complete
+            commit in ``resume_from`` raises ``SnapshotError``.
         """
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be at least 1")
+        if resume_round is not None and resume_from is None:
+            raise ValueError("resume_round needs resume_from")
         if checkpoint_dir is not None:
             # Created before the first round, not at the first write: a run
-            # that dies before any checkpoint leaves an *empty* directory,
-            # which resume_from correctly reads as "cold-start" instead of
-            # mistaking it for a mistyped snapshot path.
+            # that dies before any checkpoint leaves a directory without a
+            # commit, which resume_from correctly reads as "cold-start"
+            # instead of mistaking it for a mistyped path.
             os.makedirs(checkpoint_dir, exist_ok=True)
         resumed_from_round: Optional[int] = None
         if resume_from is not None:
-            snapshot_path = self._resolve_snapshot(resume_from)
-            if snapshot_path is not None:
-                self.load_state_dict(
-                    load_snapshot(snapshot_path),
-                    os.path.dirname(os.path.abspath(snapshot_path)),
-                )
+            journal = self._restore(resume_from, resume_round)
+            if journal is not None:
                 resumed_from_round = self.rounds
-                event(
-                    "resilience.resume", round=self.rounds, snapshot=snapshot_path
-                )
+                event("resilience.resume", round=self.rounds, journal=journal)
         if checkpoint_dir is not None:
             self.cache.start_journal(_next_journal(checkpoint_dir))
+            self._logged = None
         cache = self.cache
         with profiled(
             "campaign.run",
@@ -911,10 +1051,10 @@ class Campaign:
                 ):
                     self.refit_rounds += 1
                 # Round boundary: every receive() has landed, so no member
-                # has a request in flight — the one state a snapshot is
+                # has a request in flight — the one state a checkpoint is
                 # allowed to capture.
                 if checkpoint_dir is not None and self.rounds % checkpoint_every == 0:
-                    self._write_checkpoint(checkpoint_dir, keep_history)
+                    self._write_checkpoint(checkpoint_dir)
         results = [member.build_result() for member in self._members]
         return CampaignResult(
             results=results,

@@ -33,12 +33,13 @@ trajectories stay unchanged; only the hit/miss accounting moves, which the
 A checkpointing campaign also gives the cache a **journal**
 (:meth:`EvaluationCache.start_journal`): a store-format file in the
 checkpoint directory, seeded once with the current content and then fed
-every computed pair.  Checkpoints never serialize cache content; a
-snapshot's cache state is the counters plus a watermark into the journal
-(:meth:`~EvaluationCache.state_dict`), and restore replays exactly the
-records before that watermark.  The journal is never a warm source: its
-pairs are this campaign's own, so restoring them leaves the warm/cold
-split as it was.
+every computed pair.  A checkpoint is one commit record appended to it
+(:meth:`EvaluationCache.commit`), so the pairs before a commit are the
+cache content at that checkpoint and the cache's own part of the commit
+is only its counters (:meth:`~EvaluationCache.state_dict`).  Restore
+replays those pairs (:meth:`~EvaluationCache.load_state_dict`).  The
+journal is never a warm source: its pairs are this campaign's own, so
+restoring them leaves the warm/cold split as it was.
 """
 
 from __future__ import annotations
@@ -53,8 +54,7 @@ from repro.analysis.contracts import ArraySpec, SeqLen, contract
 from repro.circuits.pvt import PVTCondition
 from repro.obs import event, profiled
 from repro.resilience.faults import fault_point, register_fault_site
-from repro.resilience.snapshot import SnapshotError
-from repro.resilience.store import CacheStore, StoreError, read_prefix, read_records
+from repro.resilience.store import CacheStore, Record, read_records
 
 #: A corner evaluator maps ``(count, dim)`` sizings and a corner list to a
 #: ``(n_corners, count, n_metrics)`` metric block.
@@ -179,9 +179,7 @@ class EvaluationCache:
                 repaired_bytes=self.repaired_bytes,
             )
 
-    def _ingest(
-        self, records: Sequence[Tuple[bytes, bytes, np.ndarray]], warm: bool = True
-    ) -> None:
+    def _ingest(self, records: Sequence[Record], warm: bool = True) -> None:
         """Load ``(tag, key, row)`` store records, in record order.
 
         ``warm`` marks the pairs as preloaded for the warm/cold hit split;
@@ -335,22 +333,24 @@ class EvaluationCache:
         already on disk (cached at one corner, missing at another) can be
         re-appended; the loader replays records in order, so the duplicate
         is harmless — same key, bit-identical value, same dict position.
-        The store is flushed per call (other processes may read it); the
-        journal only at checkpoints (:meth:`sync_journal`).
+        Each pair's frame is built once and the same bytes go to both
+        logs.  The store is flushed per call (other processes may read
+        it); the journal only at commits (:meth:`commit`).
         """
+        encode = (self._backend or self._journal).frame
         tags = [_corner_tag(corner) for corner in corners]
-        records = [
-            (tag, keys[row_index], block[corner_index, block_index])
+        frames = [
+            encode(tag, keys[row_index], block[corner_index, block_index])
             for corner_index, tag in enumerate(tags)
             for block_index, row_index in enumerate(fresh)
         ]
         if self._backend is not None:
-            for tag, key, row in records:
-                self._backend.append(tag, key, row)
+            for frame in frames:
+                self._backend.append_frame(frame)
             self._backend.flush()
         if self._journal is not None:
-            for tag, key, row in records:
-                self._journal.append(tag, key, row)
+            for frame in frames:
+                self._journal.append_frame(frame)
 
     def close(self) -> None:
         """Flush and close the persistent store and the journal, if any."""
@@ -363,10 +363,10 @@ class EvaluationCache:
         """Start a new journal generation at ``path``, a file not yet there.
 
         The journal is seeded with the current content, corner by corner
-        in insertion order, so replaying any prefix that covers the seed
-        rebuilds the same dicts in the same iteration order; from then on
-        every computed pair is appended to it.  A journal this cache
-        already had is closed (it stays on disk for its snapshots).
+        in insertion order, so replaying the pairs before any of its
+        commits rebuilds the same dicts in the same iteration order; from
+        then on every computed pair is appended to it.  A journal this
+        cache already had is closed (it stays on disk with its commits).
         """
         if os.path.exists(path):
             raise FileExistsError(f"cache journal {path!r} already exists")
@@ -380,20 +380,26 @@ class EvaluationCache:
         journal.flush()
         self._journal = journal
 
-    def sync_journal(self) -> None:
-        """Flush and fsync the journal, so a snapshot may point into it."""
-        if self._journal is not None:
-            self._journal.sync()
+    def commit(self, payload: bytes, fault_site: str) -> int:
+        """Append a commit after the journal's pairs; returns its size.
+
+        One fsync makes the commit and every pair before it durable.
+        Needs a journal (:meth:`start_journal`).
+        """
+        return self._journal.commit(payload, fault_site)
+
+    @property
+    def journal_records(self) -> int:
+        """Pairs in the current journal (0 without one)."""
+        return 0 if self._journal is None else self._journal.record_count
 
     def state_dict(self) -> Dict[str, object]:
-        """Counters and the journal watermark, for campaign snapshots.
+        """The counters, for campaign checkpoints.
 
-        The content is not serialized: ``journal`` names the journal file
-        (``None`` for a cache that never journaled), and ``records`` /
-        ``bytes`` mark the prefix of it that is this cache's content.
-        Call :meth:`sync_journal` first when the state is written to disk.
+        The content is not serialized: a checkpoint is a journal commit,
+        and the pairs before it are the content (see
+        :meth:`load_state_dict`).
         """
-        journal = self._journal
         return {
             "counters": {
                 "hits": self.hits,
@@ -403,43 +409,27 @@ class EvaluationCache:
                 "engine_calls": self.engine_calls,
                 "eval_seconds": self.eval_seconds,
             },
-            "journal": None if journal is None else os.path.basename(journal.path),
-            "records": 0 if journal is None else journal.record_count,
-            "bytes": 0 if journal is None else journal.size,
         }
 
     def load_state_dict(
-        self, state: Dict[str, object], journal_dir: Optional[str] = None
+        self, state: Dict[str, object], records: Sequence[Record] = ()
     ) -> None:
-        """Restore a snapshot, *replacing* the current content.
+        """Restore a checkpoint, *replacing* the current content.
 
-        The content is the journal's prefix up to the state's watermark,
-        read from ``journal_dir`` (the snapshot's directory) and replayed
-        in record order, so every corner's dict comes back in the order
-        the interrupted run built it; records past the watermark — pairs
-        computed after the snapshot, a torn tail — are never read.  A
-        state without a journal restores an empty cache.  A missing
-        journal, one shorter than the watermark or one damaged before it
-        raises :class:`~repro.resilience.snapshot.SnapshotError`.
+        ``records`` are the journal's pairs before the checkpoint's commit,
+        replayed in record order, so every corner's dict comes back in the
+        order the interrupted run built it; pairs after the commit — those
+        computed after the checkpoint, a torn tail — are not passed in.
 
         Replacement (not merge) is what makes a resumed campaign
         bit-identical to the uninterrupted oracle including its hit/miss
-        accounting: the cache holds exactly what it held at the snapshot
+        accounting: the cache holds exactly what it held at the checkpoint
         round, even when the persistent store already has pairs the
         interrupted run computed afterwards (those are simply recomputed —
         to identical values — and re-appended).  The warm/cold split is
         re-intersected against the restored content so the split's
         invariant (warm keys are a subset of stored keys) survives.
         """
-        records: List[Tuple[bytes, bytes, np.ndarray]] = []
-        if state["journal"] is not None:
-            if journal_dir is None:
-                raise ValueError("restoring a journaled cache needs journal_dir")
-            records = self._read_journal(
-                os.path.join(journal_dir, state["journal"]),
-                state["records"],
-                state["bytes"],
-            )
         counters = state["counters"]
         self.hits = counters["hits"]
         self.misses = counters["misses"]
@@ -453,25 +443,6 @@ class EvaluationCache:
             corner: {key for key in warm_keys if key in self._store.get(corner, ())}
             for corner, warm_keys in self._warm.items()
         }
-
-    def _read_journal(
-        self, path: str, count: int, size: int
-    ) -> List[Tuple[bytes, bytes, np.ndarray]]:
-        """The first ``count`` records of a journal, ending at byte ``size``."""
-        if not os.path.exists(path):
-            raise SnapshotError(f"cache journal {path!r} does not exist")
-        try:
-            records = read_prefix(path, self._dimension, self.n_metrics, size)
-        except StoreError as error:
-            raise SnapshotError(
-                f"cache journal {path!r} is unusable: {error}"
-            ) from error
-        if len(records) != count:
-            raise SnapshotError(
-                f"cache journal {path!r} holds {len(records)} records before "
-                f"byte {size}, the snapshot expects {count}"
-            )
-        return records
 
     def content(
         self,

@@ -40,14 +40,21 @@ Design decisions, and why:
 * **Per-shard checkpoints.**  Each shard checkpoints its own campaign
   under ``<checkpoint_dir>/shard-NNN`` — keyed by shard index, not worker
   index, so a resumed run may use a different worker count and still find
-  every shard's snapshot.  A dead worker's shards resume from their last
-  round boundary; finished shards' final-round snapshots make their resume
+  every shard's checkpoints.  A dead worker's shards resume from their last
+  complete commit; finished shards' final-round commits make their resume
   a no-op with identical results.
 * **Per-worker tracing.**  Spawned children would inherit ``REPRO_TRACE``
   and clobber the parent's ``.partial`` sink, so the parent strips that
   variable around ``Process.start()`` and workers trace only when the
   executor hands them an explicit per-worker sink (``trace_dir``), merged
   later by ``python -m repro.obs report``.
+* **Pinned BLAS threads.**  Every worker runs its own BLAS thread pool,
+  so ``W`` workers each using all cores oversubscribe the machine.
+  Around ``Process.start()`` the parent sets ``OPENBLAS_NUM_THREADS``,
+  ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to
+  ``max(1, cpu_count // W)`` (a value the user already set wins), so each
+  child reads the limit before it imports NumPy; the parent's own
+  environment is restored afterwards.
 
 Counter attribution (the documented parity rule): **per-seed counters are
 exact** — each shard is its own single-seed campaign, so its trajectory,
@@ -190,6 +197,8 @@ class ShardResult:
     #: Full cache content (``EvaluationCache.content()``)
     #: when the executor collects it for union-digest parity checks.
     cache_content: Optional[List[Any]] = None
+    #: ``OPENBLAS_NUM_THREADS`` as the worker saw it (``None``: unset).
+    blas_threads: Optional[str] = None
 
 
 @dataclass
@@ -208,7 +217,8 @@ class ShardRunOutcome:
     shards: List[ShardResult]
     workers: int
     shard_map: Dict[int, int]
-    #: ``{"worker", "shards", "wall_seconds", "eval_seconds"}`` per worker.
+    #: ``{"worker", "shards", "wall_seconds", "eval_seconds", "blas_threads"}``
+    #: per worker (``blas_threads``: ``OPENBLAS_NUM_THREADS`` as it saw it).
     per_worker: List[Dict[str, Any]]
     rounds: int
     engine_calls: int
@@ -221,6 +231,13 @@ class ShardRunOutcome:
     #: sequential run's ``EvaluationCache.state_digest()``); ``None``
     #: unless the executor collected cache content.
     cache_digest: Optional[str] = None
+    #: BLAS thread limit the executor set for spawned workers (``None``:
+    #: the shards ran in-process and nothing was set).
+    blas_threads: Optional[int] = None
+
+
+#: Thread-count variables of the BLAS/OpenMP runtimes NumPy may link.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _shard_store_path(master: str, index: int) -> str:
@@ -255,7 +272,7 @@ def _run_shard(index: int, spec: ShardSpec, options: Dict[str, Any]) -> Dict[str
         if kill_occurrence is not None and options.get("spawned"):
             # Drill/test hook: die like a SIGKILLed worker would, with the
             # fault-plan counter picking *which* checkpoint never lands
-            # (fault_point fires before the snapshot is written).
+            # (the fault fires with half its commit frame written).
             plan = FaultPlan("snapshot.write", occurrence=kill_occurrence)
             try:
                 with inject(plan):
@@ -304,6 +321,7 @@ def _run_shard(index: int, spec: ShardSpec, options: Dict[str, Any]) -> Dict[str
                 if options.get("collect_cache_content")
                 else None
             ),
+            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         }
     finally:
         campaign.close()
@@ -392,7 +410,7 @@ class ShardedExecutor:
         docstring for why shard-per-worker files beat an advisory lock).
     checkpoint_dir:
         Per-shard checkpoint root (``<dir>/shard-NNN``); with
-        ``resume=True`` every shard resumes from its own latest snapshot,
+        ``resume=True`` every shard resumes from its own newest commit,
         so a dead worker's shards continue from their last round boundary
         while finished shards replay as no-ops.
     checkpoint_every:
@@ -454,6 +472,11 @@ class ShardedExecutor:
         """Workers that actually get shards (never more than shards)."""
         return min(self.workers, len(self.specs))
 
+    @property
+    def blas_threads(self) -> int:
+        """BLAS threads per spawned worker: the cores split between them."""
+        return max(1, (os.cpu_count() or 1) // self.effective_workers)
+
     def shard_map(self) -> Dict[int, int]:
         """Deterministic static partition: shard ``i`` -> worker ``i % W``.
 
@@ -509,7 +532,15 @@ class ShardedExecutor:
         # Spawned children import repro afresh; REPRO_TRACE would point
         # their module-level tracer at the parent's sink and clobber its
         # .partial sidecar, so the variable is stripped around start().
-        saved_trace = os.environ.pop("REPRO_TRACE", None)
+        # The BLAS thread limit is set around start() too (see the module
+        # docstring); both are restored once every child has started.
+        saved = {
+            name: os.environ.get(name)
+            for name in ("REPRO_TRACE", *BLAS_THREAD_VARIABLES)
+        }
+        os.environ.pop("REPRO_TRACE", None)
+        for name in BLAS_THREAD_VARIABLES:
+            os.environ.setdefault(name, str(self.blas_threads))
         try:
             for worker_index, assigned in by_worker.items():
                 process = context.Process(
@@ -520,8 +551,11 @@ class ShardedExecutor:
                 process.start()
                 processes[worker_index] = process
         finally:
-            if saved_trace is not None:
-                os.environ["REPRO_TRACE"] = saved_trace
+            for name, value in saved.items():
+                if value is None:
+                    os.environ.pop(name, None)
+                else:
+                    os.environ[name] = value
         for process in processes.values():
             process.join()
         for worker_index, process in processes.items():
@@ -625,6 +659,7 @@ class ShardedExecutor:
                 wall_seconds=payload["wall_seconds"],
                 cache_counters=payload["cache_counters"],
                 cache_content=payload["cache_content"],
+                blas_threads=payload["blas_threads"],
             )
             for payload in payloads
         ]
@@ -637,6 +672,7 @@ class ShardedExecutor:
                     "shards": len(owned),
                     "wall_seconds": sum(shard.wall_seconds for shard in owned),
                     "eval_seconds": sum(shard.eval_seconds for shard in owned),
+                    "blas_threads": owned[0].blas_threads if owned else None,
                 }
             )
         digest = None
@@ -661,4 +697,5 @@ class ShardedExecutor:
             refit_rounds=sum(shard.refit_rounds for shard in shards),
             batched_kernel_calls=sum(shard.batched_kernel_calls for shard in shards),
             cache_digest=digest,
+            blas_threads=self.blas_threads if self.effective_workers > 1 else None,
         )

@@ -5,6 +5,7 @@ import json
 import os
 import pickle
 import re
+import struct
 import types
 import zlib
 
@@ -30,9 +31,10 @@ from repro.resilience import (
     save_snapshot,
 )
 from repro.resilience import snapshot as snapshot_module
+from repro.resilience import store as store_module
 from repro.resilience.drill import drill_case, drill_suite
-from repro.resilience.store import read_prefix
-from repro.search.campaign import LATEST_SNAPSHOT
+from repro.resilience.store import read_records, scan_journal
+from repro.search import campaign as campaign_module
 
 #: The CI workflow whose resilience job runs the drill.
 CI_WORKFLOW = os.path.join(
@@ -166,23 +168,55 @@ class TestCacheStore:
         assert len(reopened.records) == 1
         reopened.close()
 
-    def test_read_prefix_stops_at_the_watermark(self, tmp_path):
+    def test_scan_journal_stops_at_the_first_bad_frame(self, tmp_path):
         path = str(tmp_path / "cache.journal")
         store = CacheStore(path, self.DIM, self.METRICS)
         store.append(*self._record(1.0))
-        store.flush()
-        watermark = store.size
+        store.commit(b"first", "snapshot.write")
         store.append(*self._record(2.0))
+        store.commit(b"second", "snapshot.write")
+        intact = store.size
+        store.append(*self._record(3.0))
         store.close()
         with open(path, "ab") as handle:
             handle.write(b"\x2a\x00torn")
-        (record,) = read_prefix(path, self.DIM, self.METRICS, watermark)
-        assert record[1] == self._record(1.0)[1]
-        assert len(read_prefix(path, self.DIM, self.METRICS, store.size)) == 2
-        with pytest.raises(StoreError, match="damaged"):
-            read_prefix(path, self.DIM, self.METRICS, watermark + 1)
-        with pytest.raises(StoreError, match="fewer than"):
-            read_prefix(path, self.DIM, self.METRICS, os.path.getsize(path) + 1)
+        records, commits = scan_journal(path, self.DIM, self.METRICS)
+        # Each commit knows how many pairs precede it; a pair past the
+        # last commit is read, the torn tail after it is not.
+        assert commits == [(1, b"first"), (2, b"second")]
+        assert [key for _, key, _ in records] == [
+            self._record(value)[1] for value in (1.0, 2.0, 3.0)
+        ]
+        # A commit is never read as a pair: a store scan ends at it.
+        store_records, trailing = read_records(path, self.DIM, self.METRICS)
+        assert len(store_records) == 1 and trailing > 0
+        # Damage inside the second commit hides it and everything after.
+        with open(path, "r+b") as handle:
+            handle.seek(intact - 6)
+            byte = handle.read(1)
+            handle.seek(intact - 6)
+            handle.write(bytes([byte[0] ^ 0x10]))
+        records, commits = scan_journal(path, self.DIM, self.METRICS)
+        assert commits == [(1, b"first")]
+        assert len(records) == 2
+
+    def test_injected_commit_fault_leaves_a_torn_commit(self, tmp_path):
+        path = str(tmp_path / "cache.journal")
+        store = CacheStore(path, self.DIM, self.METRICS)
+        store.append(*self._record(1.0))
+        # length | zero tag length | payload | crc, durable on return.
+        assert store.commit(b"kept", "snapshot.write") == 4 + 2 + 4 + 4
+        assert os.path.getsize(path) == store.size
+        store.append(*self._record(2.0))
+        with pytest.raises(InjectedFault):
+            with inject(FaultPlan("snapshot.write", occurrence=1)):
+                store.commit(b"lost" * 8, "snapshot.write")
+        store.close()
+        # The round's pair and half the commit frame reached the file.
+        records, commits = scan_journal(path, self.DIM, self.METRICS)
+        assert commits == [(1, b"kept")]
+        assert len(records) == 2
+        assert os.path.getsize(path) == store.size + (4 + 2 + 32 + 4) // 2
 
     def test_shape_mismatch_rejected(self, tmp_path):
         path = str(tmp_path / "cache.evc")
@@ -261,25 +295,27 @@ class TestCheckpointResume:
         seeds = [0, 1]
         ckpt = str(tmp_path / "ckpt")
         oracle = case.build_campaign(seeds, optimizer=optimizer).run(
-            checkpoint_dir=ckpt, keep_history=True
+            checkpoint_dir=ckpt
         )
         assert oracle.rounds >= 2  # otherwise "mid-run" below is meaningless
         mid = max(1, oracle.rounds // 2)
         resumed = case.build_campaign(seeds, optimizer=optimizer).run(
-            resume_from=os.path.join(ckpt, f"round-{mid:05d}.snapshot")
+            resume_from=ckpt, resume_round=mid
         )
         assert resumed.resumed_from_round == mid
-        # Full parity including the hit/miss accounting — snapshot restore
-        # carries the cache content and counters exactly.
+        # Full parity including the hit/miss accounting — checkpoint
+        # restore carries the cache content and counters exactly.
         assert_same_run(resumed, oracle)
 
     def test_resume_from_latest_in_directory(self, tmp_path):
         (case,) = get_suite("drill")
         ckpt = str(tmp_path / "ckpt")
         oracle = case.build_campaign([0]).run(checkpoint_dir=ckpt)
-        assert os.path.exists(os.path.join(ckpt, LATEST_SNAPSHOT))
+        assert _commit_rounds(ckpt, case) == {
+            "cache-00001.journal": list(range(1, oracle.rounds + 1))
+        }
         outcome = case.build_campaign([0]).run(resume_from=ckpt)
-        # The latest snapshot is the finished campaign: resume loads it and
+        # The newest commit is the finished campaign: resume loads it and
         # the run loop immediately agrees it is done.
         assert outcome.resumed_from_round == oracle.rounds
         assert_same_run(outcome, oracle)
@@ -315,17 +351,57 @@ class TestCheckpointResume:
         (case,) = get_suite("drill")
         ckpt = str(tmp_path / "ckpt")
         campaign = case.build_campaign([0])
-        outcome = campaign.run(
-            checkpoint_dir=ckpt, checkpoint_every=2, keep_history=True
-        )
-        history = sorted(
-            name for name in os.listdir(ckpt) if name.startswith("round-")
-        )
-        expected = [
-            f"round-{r:05d}.snapshot"
-            for r in range(2, outcome.rounds + 1, 2)
-        ]
-        assert history == expected
+        outcome = campaign.run(checkpoint_dir=ckpt, checkpoint_every=2)
+        assert _commit_rounds(ckpt, case) == {
+            "cache-00001.journal": list(range(2, outcome.rounds + 1, 2))
+        }
+
+
+def _shape(case):
+    """``(dimension, n_metrics)`` of a bench case's workload."""
+    campaign = case.build_campaign([0])
+    try:
+        handle = campaign.handle
+        return handle.design_space.dimension, len(handle.metric_names)
+    finally:
+        campaign.close()
+
+
+def _journal_commits(directory, case):
+    """``{journal: [(pairs before, decoded commit)]}`` for every generation."""
+    dimension, n_metrics = _shape(case)
+    found = {}
+    for name in _journals(directory):
+        _, commits = scan_journal(os.path.join(directory, name), dimension, n_metrics)
+        found[name] = [(pairs, pickle.loads(payload)) for pairs, payload in commits]
+    return found
+
+
+def _commit_rounds(directory, case):
+    """``{journal: [round of each complete commit]}``."""
+    return {
+        name: [document["state"]["rounds"] for _, document in commits]
+        for name, commits in _journal_commits(directory, case).items()
+    }
+
+
+def _frames(path):
+    """``(start, end, is_commit)`` of every intact frame of a journal."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    frames = []
+    offset = store_module.HEADER_SIZE
+    while offset + 4 <= len(data):
+        (length,) = struct.unpack_from("<I", data, offset)
+        end = offset + 4 + length + 4
+        if end > len(data):
+            break
+        payload = data[offset + 4 : end - 4]
+        if zlib.crc32(payload) != struct.unpack_from("<I", data, end - 4)[0]:
+            break
+        frames.append((offset, end, payload[:2] == b"\x00\x00"))
+        offset = end
+    return frames
 
 
 def _crash_at_checkpoint(case, seeds, occurrence, **run_kwargs):
@@ -364,7 +440,7 @@ def _leaves(tree):
 
 
 class TestCacheJournal:
-    """A snapshot points into the cache journal; it never carries pairs."""
+    """A checkpoint is a commit in the cache journal; it never carries pairs."""
 
     SEEDS = [0]
 
@@ -379,31 +455,35 @@ class TestCacheJournal:
 
     @pytest.fixture
     def history(self, tmp_path, drill):
-        """A finished ``keep_history`` run: ``(directory, outcome)``."""
+        """A finished checkpointed run: ``(directory, outcome)``."""
         ckpt = str(tmp_path / "history")
-        return ckpt, _finish(drill, self.SEEDS, checkpoint_dir=ckpt, keep_history=True)
+        return ckpt, _finish(drill, self.SEEDS, checkpoint_dir=ckpt)
 
-    def test_snapshot_cache_subtree_is_a_watermark(self, history):
+    def test_snapshot_cache_subtree_is_a_watermark(self, history, drill):
         ckpt, outcome = history
-        states = [
-            load_snapshot(os.path.join(ckpt, f"round-{r:05d}.snapshot"))["cache"]
-            for r in range(1, outcome.rounds + 1)
-        ]
+        (journal,) = _journals(ckpt)
+        commits = _journal_commits(ckpt, drill)[journal]
+        assert len(commits) == outcome.rounds
+        states = [document["state"]["cache"] for _, document in commits]
         for state in states:
-            assert set(state) == {"counters", "journal", "records", "bytes"}
-            assert state["journal"] == "cache-00001.journal"
+            assert set(state) == {"counters"}
             # No row keys, no metric rows: only names and numbers.
             assert not any(
                 isinstance(leaf, (bytes, np.ndarray)) for leaf in _leaves(state)
             )
-        first, last = states[0], states[-1]
-        assert last["records"] > first["records"] > 0
-        assert last["bytes"] == os.path.getsize(os.path.join(ckpt, last["journal"]))
+        # The commit's position is the watermark: the pairs before it.
+        pairs = [count for count, _ in commits]
+        assert pairs == sorted(pairs) and pairs[0] > 0
+        frames = _frames(os.path.join(ckpt, journal))
+        assert frames[-1][2] and frames[-1][1] == os.path.getsize(
+            os.path.join(ckpt, journal)
+        )
+        commit_ends = [end for _, end, is_commit in frames if is_commit]
         # The pickled subtree does not grow with the cache (a few bytes of
         # wider integer encodings at most), and is a fraction of its pairs.
         sizes = [len(pickle.dumps(state)) for state in states]
         assert max(sizes) - min(sizes) <= 16
-        assert 10 * max(sizes) < last["bytes"] - first["bytes"]
+        assert 10 * max(sizes) < commit_ends[-1] - commit_ends[0]
 
     def test_chained_resume_is_byte_identical(self, tmp_path, drill, oracle):
         first = str(tmp_path / "first")
@@ -414,13 +494,15 @@ class TestCacheJournal:
             drill, self.SEEDS, 2, checkpoint_dir=first, resume_from=first
         )
         assert _journals(first) == ["cache-00001.journal", "cache-00002.journal"]
-        assert load_snapshot(os.path.join(first, LATEST_SNAPSHOT))["rounds"] == 2
+        assert _commit_rounds(first, drill) == {
+            "cache-00001.journal": [1],
+            "cache-00002.journal": [2],
+        }
         # Resume into a different directory, crash there too.
         _crash_at_checkpoint(
             drill, self.SEEDS, 2, checkpoint_dir=second, resume_from=first
         )
-        assert _journals(second) == ["cache-00001.journal"]
-        assert load_snapshot(os.path.join(second, LATEST_SNAPSHOT))["rounds"] == 3
+        assert _commit_rounds(second, drill) == {"cache-00001.journal": [3]}
         # Both directories finish byte-identical to the oracle, counters too.
         for directory, round_ in ((first, 2), (second, 3)):
             outcome = _finish(
@@ -431,27 +513,19 @@ class TestCacheJournal:
 
     def test_history_survives_a_crash_resume(self, tmp_path, drill, oracle):
         ckpt = str(tmp_path / "ckpt")
-        _crash_at_checkpoint(
-            drill, self.SEEDS, 3, checkpoint_dir=ckpt, keep_history=True
-        )
-        finished = _finish(
-            drill,
-            self.SEEDS,
-            checkpoint_dir=ckpt,
-            resume_from=ckpt,
-            keep_history=True,
-        )
+        _crash_at_checkpoint(drill, self.SEEDS, 3, checkpoint_dir=ckpt)
+        finished = _finish(drill, self.SEEDS, checkpoint_dir=ckpt, resume_from=ckpt)
         assert finished.resumed_from_round == 2
-        assert _journals(ckpt) == ["cache-00001.journal", "cache-00002.journal"]
-        journals = set()
+        # Rounds 1-2 are committed in the crashed run's journal, 3+ in the
+        # new one; every round resumes byte-identically.
+        assert _commit_rounds(ckpt, drill) == {
+            "cache-00001.journal": [1, 2],
+            "cache-00002.journal": list(range(3, oracle.rounds + 1)),
+        }
         for round_ in range(1, oracle.rounds + 1):
-            path = os.path.join(ckpt, f"round-{round_:05d}.snapshot")
-            journals.add(load_snapshot(path)["cache"]["journal"])
-            outcome = _finish(drill, self.SEEDS, resume_from=path)
+            outcome = _finish(drill, self.SEEDS, resume_from=ckpt, resume_round=round_)
             assert outcome.resumed_from_round == round_
             assert_same_run(outcome, oracle)
-        # Rounds 1-2 point into the crashed run's journal, 3+ into the new one.
-        assert journals == {"cache-00001.journal", "cache-00002.journal"}
 
     def test_torn_journal_tail_past_the_watermark_is_ignored(
         self, history, drill, oracle
@@ -459,33 +533,38 @@ class TestCacheJournal:
         ckpt, _ = history
         with open(os.path.join(ckpt, "cache-00001.journal"), "ab") as handle:
             handle.write(b"\x74\x00\x00\x00half a frame")
-        for source in (os.path.join(ckpt, "round-00002.snapshot"), ckpt):
-            assert_same_run(_finish(drill, self.SEEDS, resume_from=source), oracle)
+        for round_ in (2, None):
+            outcome = _finish(drill, self.SEEDS, resume_from=ckpt, resume_round=round_)
+            assert_same_run(outcome, oracle)
 
     def _damage(self, ckpt, how):
-        path = os.path.join(ckpt, "round-00002.snapshot")
-        state = load_snapshot(path)["cache"]
-        journal = os.path.join(ckpt, state["journal"])
+        """Damage round 2's commit (or the whole journal); returns its name."""
+        journal = os.path.join(ckpt, "cache-00001.journal")
+        commit_ends = [end for _, end, is_commit in _frames(journal) if is_commit]
+        end = commit_ends[1]
         if how == "missing":
             os.remove(journal)
         elif how == "short":
             with open(journal, "r+b") as handle:
-                handle.truncate(state["bytes"] - 1)
+                handle.truncate(end - 1)
         elif how == "bitflip":
             with open(journal, "r+b") as handle:
-                handle.seek(state["bytes"] - 12)
+                handle.seek(end - 12)
                 byte = handle.read(1)
-                handle.seek(state["bytes"] - 12)
+                handle.seek(end - 12)
                 handle.write(bytes([byte[0] ^ 0x10]))
-        return path, state["journal"]
+        return os.path.basename(journal)
 
     @pytest.mark.parametrize("how", ["missing", "short", "bitflip"])
     def test_unusable_journal_is_a_snapshot_error(self, history, drill, how):
         ckpt, _ = history
-        path, journal = self._damage(ckpt, how)
+        journal = self._damage(ckpt, how)
         campaign = drill.build_campaign(self.SEEDS)
-        with pytest.raises(SnapshotError, match=re.escape(journal)):
-            campaign.run(resume_from=path)
+        # The error names the journal it scanned — or, with the journal
+        # gone, says the directory holds none.
+        named = "no cache journal" if how == "missing" else re.escape(journal)
+        with pytest.raises(SnapshotError, match=f"round 2 .*{named}"):
+            campaign.run(resume_from=ckpt, resume_round=2)
 
     def test_snapshot_v1_is_a_snapshot_error(self, tmp_path, drill):
         path = tmp_path / "old.snapshot"
@@ -508,7 +587,7 @@ class TestCacheJournal:
             return pickle.dumps(obj, *args, **kwargs)
 
         monkeypatch.setattr(
-            snapshot_module,
+            campaign_module,
             "pickle",
             types.SimpleNamespace(
                 dumps=counting_dumps,
@@ -517,12 +596,13 @@ class TestCacheJournal:
             ),
         )
         ckpt = str(tmp_path / "ckpt")
-        outcome = _finish(drill, self.SEEDS, checkpoint_dir=ckpt, keep_history=True)
-        assert len(dumps) == outcome.rounds
-        with open(os.path.join(ckpt, LATEST_SNAPSHOT), "rb") as latest, open(
-            os.path.join(ckpt, f"round-{outcome.rounds:05d}.snapshot"), "rb"
-        ) as last:
-            assert latest.read() == last.read()
+        outcome = _finish(drill, self.SEEDS, checkpoint_dir=ckpt)
+        # One encode and one commit per round, nothing else written.
+        assert dumps == [campaign_module.COMMIT_FORMAT] * outcome.rounds
+        assert os.listdir(ckpt) == ["cache-00001.journal"]
+        assert _commit_rounds(ckpt, drill) == {
+            "cache-00001.journal": list(range(1, outcome.rounds + 1))
+        }
 
     def test_checkpoint_is_one_span_with_its_sizes(self, tmp_path, drill, oracle):
         from repro.obs import tracing
@@ -540,13 +620,135 @@ class TestCacheJournal:
         assert all(span["dur"] > 0 for span in spans)
         records_seen = [span["tags"]["journal_records"] for span in spans]
         assert records_seen == sorted(records_seen) and records_seen[0] > 0
-        last = load_snapshot(os.path.join(ckpt, LATEST_SNAPSHOT))
-        assert spans[-1]["tags"]["journal_records"] == last["cache"]["records"]
-        assert spans[-1]["tags"]["snapshot_bytes"] == os.path.getsize(
-            os.path.join(ckpt, LATEST_SNAPSHOT)
-        )
+        (journal,) = _journals(ckpt)
+        commits = _journal_commits(ckpt, drill)[journal]
+        assert records_seen == [pairs for pairs, _ in commits]
+        commit_frames = [
+            end - start
+            for start, end, is_commit in _frames(os.path.join(ckpt, journal))
+            if is_commit
+        ]
+        assert [span["tags"]["commit_bytes"] for span in spans] == commit_frames
         # Tracing stays trajectory-neutral.
         assert_same_run(outcome, oracle)
+
+    def test_torn_commit_resumes_from_the_previous_commit(
+        self, tmp_path, drill, oracle
+    ):
+        ckpt = str(tmp_path / "ckpt")
+        _crash_at_checkpoint(drill, self.SEEDS, 3, checkpoint_dir=ckpt)
+        journal = os.path.join(ckpt, "cache-00001.journal")
+        # Round 3's commit is half on disk, after round 3's pairs.
+        frames = _frames(journal)
+        assert [is_commit for _, _, is_commit in frames].count(True) == 2
+        assert not frames[-1][2]
+        assert os.path.getsize(journal) > frames[-1][1]
+        outcome = _finish(drill, self.SEEDS, resume_from=ckpt)
+        assert outcome.resumed_from_round == 2
+        assert_same_run(outcome, oracle)
+
+    def test_old_layout_directory_is_a_snapshot_error(self, tmp_path, drill):
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        save_snapshot(str(ckpt / "latest.snapshot"), {"cache": {"journal": None}})
+        with pytest.raises(SnapshotError, match="latest.snapshot.*old checkpoint layout"):
+            drill.build_campaign(self.SEEDS).run(resume_from=str(ckpt))
+
+
+#: A multi-phase case: seed 0 folds a corner in mid-run, so its optimizer
+#: (and with it the logged dataset) is replaced once.
+CONTRACT_CASE = get_suite("smoke")[0]
+
+
+class TestCommitContract:
+    """One fsync per checkpoint; commits log only the round's new rows."""
+
+    SEEDS = [0, 1]
+
+    @pytest.fixture(scope="class")
+    def finished(self, tmp_path_factory):
+        """A finished multi-phase checkpointed run: ``(directory, outcome)``."""
+        ckpt = str(tmp_path_factory.mktemp("contract") / "ckpt")
+        return ckpt, _finish(CONTRACT_CASE, self.SEEDS, checkpoint_dir=ckpt)
+
+    def test_checkpoint_is_one_fsync(self, tmp_path, monkeypatch):
+        (case,) = get_suite("drill")
+        calls = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: calls.append(fd) or real_fsync(fd))
+        outcome = _finish(case, [0], checkpoint_dir=str(tmp_path / "ckpt"))
+        assert outcome.rounds >= 5
+        # One per checkpoint, plus the journal's header, its directory
+        # entry and its close.
+        assert len(calls) <= outcome.rounds + 3
+
+    def test_commits_log_only_the_rounds_new_rows(self, finished):
+        ckpt, outcome = finished
+        (journal,) = _journals(ckpt)
+        commits = [
+            document["state"]
+            for _, document in _journal_commits(ckpt, CONTRACT_CASE)[journal]
+        ]
+        assert len(commits) == outcome.rounds
+        assert "identity" in commits[0]
+        assert all("identity" not in state for state in commits[1:])
+        deltas = full_after_phase = 0
+        for previous, state in zip(commits, commits[1:]):
+            for before, member in zip(previous["members"], state["members"]):
+                optimizer = member["optimizer"]
+                if optimizer is None:
+                    continue
+                rows = optimizer["X"].shape[0]
+                assert optimizer["M"].shape[0] == rows
+                if optimizer["rows_from"] == 0 and member["phase"] != before["phase"]:
+                    full_after_phase += 1
+                    continue
+                # Only the rows this round added: the previous commit
+                # logged the same optimizer's dataset up to rows_from.
+                logged = before["optimizer"]
+                assert optimizer["rows_from"] == logged["rows_from"] + logged["X"].shape[0]
+                deltas += 1
+        assert deltas > 0 and full_after_phase > 0
+
+    def test_every_round_resumes_byte_identically(self, finished):
+        ckpt, outcome = finished
+        for round_ in range(1, outcome.rounds + 1):
+            resumed = _finish(
+                CONTRACT_CASE, self.SEEDS, resume_from=ckpt, resume_round=round_
+            )
+            assert resumed.resumed_from_round == round_
+            assert_same_run(resumed, outcome)
+
+    def test_resume_falls_back_past_a_generation_without_a_commit(
+        self, tmp_path
+    ):
+        (case,) = get_suite("drill")
+        oracle = case.build_campaign([0]).run()
+        ckpt = str(tmp_path / "ckpt")
+        _crash_at_checkpoint(case, [0], 3, checkpoint_dir=ckpt)
+        # The resumed run dies in its first round, before its base commit.
+        campaign = case.build_campaign([0])
+        try:
+            with inject(FaultPlan("engine.call", occurrence=1)):
+                with pytest.raises(InjectedFault):
+                    campaign.run(checkpoint_dir=ckpt, resume_from=ckpt)
+        finally:
+            campaign.close()
+        assert _commit_rounds(ckpt, case) == {
+            "cache-00001.journal": [1, 2],
+            "cache-00002.journal": [],
+        }
+        # A later run that died while writing its journal's header.
+        with open(os.path.join(ckpt, "cache-00003.journal"), "wb") as handle:
+            handle.write(store_module.MAGIC[:5])
+        outcome = _finish(case, [0], resume_from=ckpt)
+        assert outcome.resumed_from_round == 2
+        assert_same_run(outcome, oracle)
+
+    def test_resume_round_needs_resume_from(self):
+        (case,) = get_suite("drill")
+        with pytest.raises(ValueError, match="resume_round needs resume_from"):
+            case.build_campaign([0]).run(resume_round=1)
 
 
 class TestPersistentCampaignCache:
@@ -619,6 +821,19 @@ class TestDrill:
         (step,) = drill_steps
         listed = re.search(r"--occurrences (\S+)", step).group(1).split(",")
         assert str(occurrence) in listed
+
+    def test_torn_commit_is_a_drill_scenario(self, tmp_path):
+        (case,) = get_suite("drill")
+        outcomes = drill_case(case, [0], (5,), str(tmp_path / "drill"))
+        (outcome,) = [o for o in outcomes if o.site == "snapshot.write"]
+        # Round 5's commit is torn; the resume replays base + 3 deltas.
+        assert outcome.fired and outcome.identical, outcome.divergence
+        assert outcome.resumed_from_round == 4
+        with open(CI_WORKFLOW) as handle:
+            (step,) = [
+                line for line in handle if "python -m repro.resilience drill" in line
+            ]
+        assert "5" in re.search(r"--occurrences (\S+)", step).group(1).split(",")
 
     @pytest.mark.parametrize(
         "argv, message",

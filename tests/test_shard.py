@@ -86,6 +86,27 @@ class TestParity:
         assert outcome.engine_calls == oracle.engine_calls
         assert outcome.cache_hits == oracle.cache_hits
 
+    @pytest.mark.parametrize("user_setting", [None, "3"], ids=["unset", "user-set"])
+    def test_spawned_workers_pin_blas_threads(self, tiny_specs, monkeypatch, user_setting):
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        if user_setting is not None:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", user_setting)
+        outcome = ShardedExecutor(tiny_specs, workers=2).run()
+        limit = max(1, (os.cpu_count() or 1) // 2)
+        assert outcome.blas_threads == limit
+        # Each worker saw the limit, unless the user had set one.
+        seen = user_setting or str(limit)
+        assert [entry["blas_threads"] for entry in outcome.per_worker] == [seen, seen]
+        # The parent's environment is restored.
+        assert os.environ.get("OPENBLAS_NUM_THREADS") == user_setting
+        assert "OMP_NUM_THREADS" not in os.environ
+        assert "MKL_NUM_THREADS" not in os.environ
+
+    def test_in_process_run_sets_no_blas_limit(self, tiny_specs):
+        outcome = ShardedExecutor(tiny_specs, workers=1).run()
+        assert outcome.blas_threads is None
+
     def test_uncollected_cache_content_is_not_comparable(self, tiny_specs, oracle):
         # Without collect_cache_content a sharded outcome has no cache
         # digest; comparing it must fail loudly, not match null == null.
